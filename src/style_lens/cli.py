@@ -10,14 +10,12 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from .embed import EmbeddingBank, StyleIndex, context_classify
 from .forecast import ForecastModel, evaluate, examples_from_scenes, train
 from .kdsc import DEFAULT_SUBSET, ClusterModel, assign, fit_kdsc, label_clusters
 from .kinematics import FEATURE_NAMES, KinematicFeatures
 from .report import classify_scenes_tdbm, run_report, scene_features
-from .synth import DEFAULT_PARAMS, gen_cruise, gen_yellow_light
+from .synth import gen_cruise, gen_yellow_light
 from .tdbm import STYLE_LABELS, TdbmConfig, build_tdbm_features, tdbm_classify, tdbm_score
 from .traj import load_scenes, save_scenes
 
@@ -207,7 +205,7 @@ def build_parser():
     p.add_argument("--labels", default=None, help="optional ground-truth label CSV")
     p.set_defaults(func=cmd_synth)
 
-    def add_io(p, config_flag="--config"):
+    def add_io(p):
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
 

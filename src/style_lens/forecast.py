@@ -11,7 +11,7 @@ gradients are hand-derived so training is bit-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -329,6 +329,8 @@ def evaluate(
     """Per-style and Overall metric rows (style taken from each example)."""
     if not examples:
         raise ForecastError("cannot evaluate an empty dataset")
+    if model.fusion != "none" and bank is None:
+        raise ForecastError(f"fusion={model.fusion!r} requires an embedding bank")
     per_scene = [_scene_metrics(model, bank, ex, miss_threshold) for ex in examples]
 
     def row(style: str, idxs) -> MetricsRow:

@@ -1,5 +1,11 @@
-"""Kinematic-based driving style clustering: z-scoring, Ward agglomeration
-via Lance-Williams updates, cluster labeling, and nearest-centroid assignment."""
+"""Kinematic-based driving style clustering: z-scoring, Ward agglomeration,
+cluster labeling, and nearest-centroid assignment.
+
+Ward agglomeration (`ward_linkage`) is the generic greedy algorithm with
+Lance-Williams updates and a cached nearest neighbour per row. It always
+merges the closest pair, breaking exact ties toward the smallest cluster-id
+pair. It takes O(n^2) memory and typically O(n^2) time, O(n^3) in the worst
+case."""
 
 from __future__ import annotations
 
@@ -13,6 +19,7 @@ from .kinematics import KinematicFeatures
 
 DEFAULT_SUBSET = ("max_abs_accel", "var_accel", "var_speed", "gamma")
 STD_FLOOR = 1e-12
+_D2_BLOCK_ROWS = 64   # rows of the initial distance matrix built per block
 
 
 class ClusteringError(ValueError):
@@ -80,68 +87,93 @@ def _feature_matrix(features: Sequence[KinematicFeatures], names) -> np.ndarray:
     return np.array([[getattr(f, n) for n in names] for f in features], dtype=float)
 
 
-def ward_linkage(points: np.ndarray):
+def ward_linkage(points: np.ndarray) -> list:
     """Full Ward dendrogram over the rows of `points`.
 
-    Returns (merge_history, leaders) where merge_history is a list of
-    (id_a, id_b, distance) with scipy-style cluster ids (new cluster i gets
-    id n + i) and leaders maps each merge step to member leaf sets.
-    Ties are broken toward the smallest (id_a, id_b) pair, so the
-    dendrogram is deterministic.
+    Returns the merge history: a list of (id_a, id_b, distance) with
+    scipy-style cluster ids (leaf i has id i, the cluster made by merge step
+    s gets id n + s) and id_a < id_b.
+
+    Each step merges the pair with the smallest Ward distance. Among pairs at
+    exactly that distance it takes the smallest (id_a, id_b), so the
+    dendrogram is deterministic, also for duplicate points.
+
+    Generic algorithm with a cached nearest neighbour per row (Anderberg;
+    Muellner 2011, arXiv:1109.2378): squared distances live in a symmetric
+    n x n matrix updated in place by Lance-Williams, and every row caches a
+    minimum and the column holding it. A cached minimum is always a value in
+    its row, though it may exceed the row's true minimum. Every pair's
+    distance is at least the cached minimum of one of its two rows, because
+    the row of the newer cluster was rescanned when the pair got its value.
+    So the smallest cached minimum is the global one, and every pair at that
+    distance lies in a row whose cached minimum equals it. After a merge only
+    the merged row and the rows whose cached column was one of the two merged
+    slots are rescanned. The merge order, and every distance, is the one a
+    full rescan of the matrix at each step would give. Cost: O(n^2) memory,
+    typically O(n^2) time, O(n^3) in the worst case, when most rows must be
+    rescanned at every step.
     """
     n = len(points)
-    # symmetric squared Ward distances, Lance-Williams updated in place
-    diff = points[:, None, :] - points[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    if n == 0:
+        return []
+    # squared Ward distances of singletons, built a block of rows at a time
+    # so no n x n x d difference tensor is ever held
+    d2 = np.empty((n, n))
+    for s in range(0, n, _D2_BLOCK_ROWS):
+        diff = points[s:s + _D2_BLOCK_ROWS, None, :] - points[None, :, :]
+        d2[s:s + _D2_BLOCK_ROWS] = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(d2, np.inf)
 
     size = np.ones(n, dtype=float)
     cluster_id = np.arange(n)     # slot -> current cluster id
-    active = np.ones(n, dtype=bool)
-    members = {i: frozenset([i]) for i in range(n)}
+    rowmin = d2.min(axis=1)
+    argmin = d2.argmin(axis=1)    # the column where each row attains rowmin
     history = []
-    next_id = n
 
-    for _step in range(n - 1):
-        dmin = d2.min()
-        # ties (exact equality) resolved toward the smallest cluster-id pair
-        ti, tj = np.nonzero(d2 == dmin)
-        pairs = sorted(
-            (tuple(sorted((cluster_id[a], cluster_id[b]))), (a, b))
-            for a, b in zip(ti, tj)
-            if a < b
-        )
-        (ida, idb), (i, j) = pairs[0]
+    for next_id in range(n, 2 * n - 1):
+        dmin = rowmin.min()
+        # ties (exact equality) go to the smallest cluster-id pair
+        best = None
+        for r in np.flatnonzero(rowmin == dmin):
+            for c in np.flatnonzero(d2[r] == dmin):
+                ids = tuple(sorted((cluster_id[r], cluster_id[c])))
+                if best is None or ids < best[0]:
+                    best = (ids, min(r, c), max(r, c))
+        (ida, idb), i, j = best
         dij = d2[i, j]
         history.append((int(ida), int(idb), float(np.sqrt(dij))))
 
+        # Lance-Williams over whole rows: inactive columns, i and j are inf in
+        # d2[i] or d2[j], so they come out inf again
         ni, nj = size[i], size[j]
-        other = active.copy()
-        other[[i, j]] = False
-        nm = size[other]
-        new = ((ni + nm) * d2[i, other] + (nj + nm) * d2[j, other] - nm * dij) / (
-            ni + nj + nm
+        new = ((ni + size) * d2[i] + (nj + size) * d2[j] - size * dij) / (
+            ni + nj + size
         )
-        d2[i, other] = new
-        d2[other, i] = new
-
-        members[next_id] = members[cluster_id[i]] | members[cluster_id[j]]
+        d2[i] = new
+        d2[:, i] = new
+        d2[j] = np.inf
+        d2[:, j] = np.inf
         size[i] = ni + nj
         cluster_id[i] = next_id
-        active[j] = False
-        d2[j, :] = np.inf
-        d2[:, j] = np.inf
-        next_id += 1
 
-    return history, members
+        stale = (argmin == i) | (argmin == j)
+        stale[i] = True
+        stale[j] = False
+        rows = np.flatnonzero(stale)
+        argmin[rows] = d2[rows].argmin(axis=1)
+        rowmin[rows] = d2[rows, argmin[rows]]
+        # slot j is retired: it must never again look stale
+        rowmin[j] = np.inf
+        argmin[j] = j
+
+    return history
 
 
-def cut_partition(history, members, n: int, k: int) -> np.ndarray:
+def cut_partition(history, n: int, k: int) -> np.ndarray:
     """Flat labels (0..k-1) after the first n-k merges, clusters numbered by
     smallest member index."""
     if not 1 <= k <= n:
         raise ClusteringError(f"k={k} out of range for n={n}")
-    parent = list(range(n))
     groups = {i: {i} for i in range(n)}
     id_to_group = {i: i for i in range(n)}
     next_id = n
@@ -182,8 +214,8 @@ def fit_kdsc(
     std = np.maximum(std, STD_FLOOR)
     z = (raw - mean) / std
 
-    history, _members = ward_linkage(z)
-    assignments = cut_partition(history, None, n, k)
+    history = ward_linkage(z)
+    assignments = cut_partition(history, n, k)
     centroids = np.array([z[assignments == c].mean(axis=0) for c in range(k)])
 
     return ClusterModel(

@@ -13,10 +13,9 @@ import numpy as np
 from . import svg as svg_mod
 from .kdsc import ClusterModel, assign
 from .kinematics import FEATURE_NAMES, extract_features
-from .stats import WelchResult, quantile_inclusive, welch_t_test
+from .stats import quantile_inclusive, welch_t_test
 from .tdbm import (
     STYLE_LABELS,
-    StyleClass,
     TdbmConfig,
     _uniformize,
     build_tdbm_features,

@@ -9,7 +9,7 @@ so corpora are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -168,7 +168,7 @@ def _load_jsonl(path) -> list:
             try:
                 rec = json.loads(line)
                 scenes.append(scene_from_record(rec))
-            except (KeyError, TypeError, json.JSONDecodeError, TrajectoryError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise TrajectoryError(f"{path}, line {lineno}: {exc}") from exc
     return scenes
 

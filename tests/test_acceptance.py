@@ -99,11 +99,11 @@ def test_clustering_fidelity(emit, cruise_400, cruise_model_400):
     for n in range(2, 9):
         for _trial in range(10):
             pts = rng.normal(size=(n, 3))
-            history, _ = ward_linkage(pts)
+            history = ward_linkage(pts)
             oracle = brute_force_ward(pts)
             k = 2 if n >= 2 else 1
-            got_p = partition_sets(cut_partition(history, None, n, k))
-            want_p = partition_sets(cut_partition(oracle, None, n, k))
+            got_p = partition_sets(cut_partition(history, n, k))
+            want_p = partition_sets(cut_partition(oracle, n, k))
             if got_p != want_p:
                 oracle_ok = False
     ok = agree >= 0.90 and oracle_ok

@@ -300,3 +300,10 @@ class TestMetrics:
         model = ForecastModel.init(H=4, T=3, M=1)
         with pytest.raises(ForecastError):
             evaluate([], model)
+
+    def test_fusion_requires_bank(self):
+        model = ForecastModel.init(H=4, T=3, M=1, fusion="early")
+        ex = TrainingExample(history=np.zeros((4, 2)), future=np.zeros((3, 2)),
+                             index=StyleIndex(z=0, k=0, c=0))
+        with pytest.raises(ForecastError, match="bank"):
+            evaluate([ex], model)

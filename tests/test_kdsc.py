@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,51 @@ def brute_force_ward(points):
     return history
 
 
+# ---------------------------------------------------------------------------
+# Reference Ward: the cubic implementation that ward_linkage replaced. It
+# rescans the whole Lance-Williams matrix at every merge, so the cached
+# row minima of ward_linkage must reproduce its history exactly, ties too.
+
+def reference_ward(points):
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    diff = points[:, None, :] - points[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(d2, np.inf)
+    size = np.ones(n, dtype=float)
+    cluster_id = np.arange(n)
+    active = np.ones(n, dtype=bool)
+    history = []
+    next_id = n
+    for _step in range(n - 1):
+        dmin = d2.min()
+        ti, tj = np.nonzero(d2 == dmin)
+        pairs = sorted(
+            (tuple(sorted((cluster_id[a], cluster_id[b]))), (a, b))
+            for a, b in zip(ti, tj)
+            if a < b
+        )
+        (ida, idb), (i, j) = pairs[0]
+        dij = d2[i, j]
+        history.append((int(ida), int(idb), float(np.sqrt(dij))))
+        ni, nj = size[i], size[j]
+        other = active.copy()
+        other[[i, j]] = False
+        nm = size[other]
+        new = ((ni + nm) * d2[i, other] + (nj + nm) * d2[j, other] - nm * dij) / (
+            ni + nj + nm
+        )
+        d2[i, other] = new
+        d2[other, i] = new
+        size[i] = ni + nj
+        cluster_id[i] = next_id
+        active[j] = False
+        d2[j, :] = np.inf
+        d2[:, j] = np.inf
+        next_id += 1
+    return history
+
+
 def partition_sets(labels):
     groups = {}
     for i, lab in enumerate(labels):
@@ -57,8 +104,8 @@ def partition_sets(labels):
 class TestWardLinkage:
     def test_well_separated_blobs(self):
         pts = np.array([0.0, 0.1, 0.2, 10.0, 10.1, 10.2])[:, None]
-        history, _ = ward_linkage(pts)
-        labels = cut_partition(history, None, 6, 2)
+        history = ward_linkage(pts)
+        labels = cut_partition(history, 6, 2)
         assert partition_sets(labels) == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -66,21 +113,76 @@ class TestWardLinkage:
         rng = np.random.default_rng(100 + n)
         for trial in range(15):
             pts = rng.normal(size=(n, 2))
-            history, _ = ward_linkage(pts)
+            history = ward_linkage(pts)
             oracle = brute_force_ward(pts)
             assert len(history) == len(oracle) == n - 1
             for (a, b, d), (oa, ob, od) in zip(history, oracle):
                 assert (a, b) == (oa, ob)
                 assert d == pytest.approx(od, rel=1e-9)
             if n >= 2:
-                got = cut_partition(history, None, n, 2)
-                want = cut_partition(oracle, None, n, 2)
+                got = cut_partition(history, n, 2)
+                want = cut_partition(oracle, n, 2)
                 assert partition_sets(got) == partition_sets(want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_reference_on_random_data(self, d):
+        rng = np.random.default_rng(200 + d)
+        for n in range(2, 61):
+            pts = rng.normal(size=(n, d))
+            assert ward_linkage(pts) == reference_ward(pts)
+
+    @pytest.mark.parametrize("n,d,levels", [
+        (20, 1, 3), (40, 2, 3), (60, 3, 2), (150, 2, 4), (200, 4, 3),
+    ])
+    def test_equals_reference_on_integer_grid_ties(self, n, d, levels):
+        rng = np.random.default_rng(n + d)
+        for _trial in range(3):
+            pts = rng.integers(0, levels, size=(n, d)).astype(float)
+            assert ward_linkage(pts) == reference_ward(pts)
+
+    @pytest.mark.parametrize("n,d", [(12, 1), (30, 2), (90, 3)])
+    def test_equals_reference_on_duplicate_rows(self, n, d):
+        rng = np.random.default_rng(7 * n + d)
+        for _trial in range(3):
+            base = rng.normal(size=(n // 3, d))
+            pts = base[rng.integers(0, len(base), size=n)]
+            assert ward_linkage(pts) == reference_ward(pts)
+
+    def test_equals_reference_across_distance_blocks(self):
+        pts = np.random.default_rng(31).normal(size=(200, 4))
+        assert ward_linkage(pts) == reference_ward(pts)
+
+    def test_identical_points_tie_rule(self):
+        pts = np.zeros((4, 2))
+        history = ward_linkage(pts)
+        assert history == reference_ward(pts) == [(0, 1, 0.0), (2, 3, 0.0), (4, 5, 0.0)]
+        assert partition_sets(cut_partition(history, 4, 2)) == {
+            frozenset({0, 1}), frozenset({2, 3})
+        }
+
+    def test_heights_match_scipy_ward(self):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        pts = np.random.default_rng(17).normal(size=(300, 4))
+        heights = [d for _, _, d in ward_linkage(pts)]
+        np.testing.assert_allclose(heights, hierarchy.ward(pts)[:, 2], rtol=1e-9)
+
+    def test_memory_stays_quadratic(self):
+        n = 1500
+        pts = np.random.default_rng(23).normal(size=(n, 4))
+        tracemalloc.start()
+        try:
+            ward_linkage(pts)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the n x n distance matrix is n*n*8 bytes; an n x n x d
+        # difference tensor would add d times that
+        assert peak < 2 * n * n * 8
 
     def test_merge_distances_monotone(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(30, 3))
-        history, _ = ward_linkage(pts)
+        history = ward_linkage(pts)
         dists = [d for _, _, d in history]
         assert all(d2 >= d1 - 1e-12 for d1, d2 in zip(dists, dists[1:]))
 
@@ -88,23 +190,23 @@ class TestWardLinkage:
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(12, 2))
         perm = rng.permutation(12)
-        h1, _ = ward_linkage(pts)
-        h2, _ = ward_linkage(pts[perm])
-        p1 = partition_sets(cut_partition(h1, None, 12, 3))
-        labels2 = cut_partition(h2, None, 12, 3)
+        h1 = ward_linkage(pts)
+        h2 = ward_linkage(pts[perm])
+        p1 = partition_sets(cut_partition(h1, 12, 3))
+        labels2 = cut_partition(h2, 12, 3)
         # map the permuted labels back to original indices
         p2 = partition_sets([labels2[np.where(perm == i)[0][0]] for i in range(12)])
         assert p1 == p2
 
     def test_cut_k_equals_n(self):
         pts = np.random.default_rng(1).normal(size=(5, 2))
-        history, _ = ward_linkage(pts)
-        labels = cut_partition(history, None, 5, 5)
+        history = ward_linkage(pts)
+        labels = cut_partition(history, 5, 5)
         assert sorted(labels) == [0, 1, 2, 3, 4]
 
     def test_cut_bad_k(self):
         with pytest.raises(ClusteringError):
-            cut_partition([], None, 3, 0)
+            cut_partition([], 3, 0)
 
 
 class TestFitKdsc:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ class TestInterchange:
             fh.write(json.dumps(good) + "\n")
             fh.write(json.dumps(bad) + "\n")
         with pytest.raises(TrajectoryError, match="line 2"):
+            load_scenes(path)
+
+    def test_non_numeric_coordinate_error_names_line(self, tmp_path):
+        good = scene_to_record(make_scene("ok", make_traj("f", [0, 1, 2])))
+        bad = scene_to_record(make_scene("bad", make_traj("f", [0, 1, 2])))
+        bad["agents"][0]["x"] = ["zz", 1, 2]
+        path = tmp_path / "scenes.jsonl"
+        with open(path, "w") as fh:
+            fh.write(json.dumps(good) + "\n")
+            fh.write(json.dumps(bad) + "\n")
+        with pytest.raises(TrajectoryError, match=re.escape(f"{path}, line 2")):
             load_scenes(path)
 
     def test_empty_file_gives_empty_list(self, tmp_path):
