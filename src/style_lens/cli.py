@@ -28,6 +28,10 @@ def _parse_mix(text):
     return mix
 
 
+def _tdbm_config(path):
+    return TdbmConfig.load(path) if path else TdbmConfig()
+
+
 def _load_label_map(path):
     out = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -51,7 +55,7 @@ def cmd_synth(args):
 
 def cmd_features(args):
     scenes = load_scenes(args.infile, args.format)
-    config = TdbmConfig.load(args.config) if args.config else TdbmConfig()
+    config = _tdbm_config(args.config)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("scene_id,agent_id," + ",".join(FEATURE_NAMES) + "\n")
         for scene in scenes:
@@ -63,7 +67,7 @@ def cmd_features(args):
 
 def cmd_tdbm(args):
     scenes = load_scenes(args.infile, args.format)
-    config = TdbmConfig.load(args.config) if args.config else TdbmConfig()
+    config = _tdbm_config(args.config)
     score_cols = ",".join(f"score_{label}" for label in STYLE_LABELS)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
@@ -109,35 +113,36 @@ def cmd_kdsc(args):
     print(f"fitted k={args.k} model on {len(feats)} points, saved to {args.out}")
 
 
-def _style_indices(scenes, label_map, tdbm_config):
-    """Bank indices per scene: ground-truth labels when provided, else TDBM.
+def _scene_styles(scenes, args):
+    """Style name per scene and the bank's style names in row order: the
+    ground-truth labels of --labels when given, else the TDBM classes."""
+    if not args.labels:
+        return classify_scenes_tdbm(scenes, _tdbm_config(args.tdbm_config)), STYLE_LABELS
+    label_map = _load_label_map(args.labels)
+    for scene in scenes:
+        if scene.scene_id not in label_map:
+            raise SystemExit(f"{args.labels}: no label for scene {scene.scene_id!r}")
+    return [label_map[s.scene_id] for s in scenes], tuple(sorted(set(label_map.values())))
 
-    Returns (indices, style names per scene, number of styles)."""
-    if label_map is not None:
-        names = sorted(set(label_map.values()))
-        name_to_z = {n: i for i, n in enumerate(names)}
-        styles = [label_map[s.scene_id] for s in scenes]
-        indices = [
-            StyleIndex(z=name_to_z[label_map[s.scene_id]], k=0, c=context_classify(s))
-            for s in scenes
-        ]
-        return indices, styles, len(names)
-    styles = classify_scenes_tdbm(scenes, tdbm_config)
-    label_to_z = {label: z for z, label in enumerate(STYLE_LABELS)}
-    indices = [
-        StyleIndex(z=label_to_z[style], k=0, c=context_classify(scene))
-        for scene, style in zip(scenes, styles)
-    ]
-    return indices, styles, len(STYLE_LABELS)
+
+def _style_indices(scenes, styles, names):
+    """Bank index per scene: z is the row of the scene's style in `names`."""
+    name_to_z = {name: z for z, name in enumerate(names)}
+    for scene, style in zip(scenes, styles):
+        if style not in name_to_z:
+            raise SystemExit(f"scene {scene.scene_id!r}: style {style!r} is not one of "
+                             f"the bank's styles {list(names)}")
+    return [StyleIndex(z=name_to_z[style], k=0, c=context_classify(scene))
+            for scene, style in zip(scenes, styles)]
 
 
 def cmd_train_embed(args):
     scenes = load_scenes(args.infile, args.format)
-    tdbm_config = TdbmConfig.load(args.tdbm_config) if args.tdbm_config else TdbmConfig()
-    label_map = _load_label_map(args.labels) if args.labels else None
-    indices, _styles, num_styles = _style_indices(scenes, label_map, tdbm_config)
-    bank = EmbeddingBank.init(num_styles=num_styles, K=1 if label_map else args.clusters,
+    styles, names = _scene_styles(scenes, args)
+    indices = _style_indices(scenes, styles, names)
+    bank = EmbeddingBank.init(num_styles=len(names), K=1 if args.labels else args.clusters,
                               D=args.dim, seed=args.seed)
+    bank.style_names = names
     model = ForecastModel.init(
         H=args.history, T=args.horizon, M=args.modes, hidden=args.hidden,
         D=args.dim, fusion=args.fusion, seed=args.seed,
@@ -158,11 +163,12 @@ def cmd_train_embed(args):
 
 def cmd_eval(args):
     scenes = load_scenes(args.infile, args.format)
-    tdbm_config = TdbmConfig.load(args.tdbm_config) if args.tdbm_config else TdbmConfig()
     model = ForecastModel.load(args.model)
     bank = EmbeddingBank.load(args.bank) if args.bank else None
-    label_map = _load_label_map(args.labels) if args.labels else None
-    indices, styles, _num = _style_indices(scenes, label_map, tdbm_config)
+    styles, names = _scene_styles(scenes, args)
+    if bank is not None:  # the bank's rows are indexed by the styles it was trained on
+        names = bank.style_names
+    indices = _style_indices(scenes, styles, names)
     examples, skipped = examples_from_scenes(scenes, model.H, model.T, indices, styles)
     if skipped:
         print(f"skipped {skipped} scenes shorter than H+T", file=sys.stderr)
@@ -179,11 +185,9 @@ def cmd_eval(args):
 
 def cmd_report(args):
     scenes = load_scenes(args.infile, args.format)
-    tdbm_config = TdbmConfig.load(args.tdbm_config) if args.tdbm_config else TdbmConfig()
     kdsc_model = ClusterModel.load(args.kdsc_model) if args.kdsc_model else None
-    written = run_report(
-        scenes, args.out_dir, tdbm_config, kdsc_model, n_min=args.n_min, svg=args.svg
-    )
+    written = run_report(scenes, args.out_dir, _tdbm_config(args.tdbm_config), kdsc_model,
+                         n_min=args.n_min, svg=args.svg)
     for path in written:
         print(f"wrote {path}")
 

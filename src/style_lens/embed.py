@@ -19,7 +19,7 @@ from .kinematics import extract_features
 from .tdbm import TdbmConfig, _uniformize, build_tdbm_features, tdbm_classify, tdbm_score
 
 NON_HIGHWAY, HIGHWAY = 0, 1
-DEFAULT_V_HIGHWAY = 16.7  # m/s, ~60 km/h
+V_HIGHWAY = 16.7  # m/s, ~60 km/h: mean focal speed at or above it is highway
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class EmbeddingBank:
     seed: int = 0
     e_k: list = field(default_factory=list)  # per style: K x D
     e_c: list = field(default_factory=list)  # per style: 2 x D
+    style_names: tuple = ()  # style name of each row z; empty if unknown
 
     @classmethod
     def init(cls, num_styles: int = 6, K: int = 3, D: int = 16, seed: int = 0) -> "EmbeddingBank":
@@ -44,10 +45,6 @@ class EmbeddingBank:
         e_k = [rng.uniform(-0.1, 0.1, size=(K, D)) for _ in range(num_styles)]
         e_c = [rng.uniform(-0.1, 0.1, size=(2, D)) for _ in range(num_styles)]
         return cls(num_styles=num_styles, K=K, D=D, seed=seed, e_k=e_k, e_c=e_c)
-
-    def table(self, z: int) -> np.ndarray:
-        """Materialized K x 2 scalar table for style z."""
-        return self.e_k[z] @ self.e_c[z].T
 
     def validate_index(self, idx: StyleIndex) -> None:
         if not (0 <= idx.z < self.num_styles and 0 <= idx.k < self.K and idx.c in (0, 1)):
@@ -60,6 +57,7 @@ class EmbeddingBank:
             "K": self.K,
             "D": self.D,
             "seed": self.seed,
+            "style_names": list(self.style_names),
             "styles": [
                 {"e_k": ek.tolist(), "e_c": ec.tolist()}
                 for ek, ec in zip(self.e_k, self.e_c)
@@ -75,6 +73,7 @@ class EmbeddingBank:
             seed=int(d.get("seed", 0)),
             e_k=[np.asarray(s["e_k"], dtype=float) for s in d["styles"]],
             e_c=[np.asarray(s["e_c"], dtype=float) for s in d["styles"]],
+            style_names=tuple(d.get("style_names", ())),
         )
 
     def save(self, path) -> None:
@@ -108,7 +107,7 @@ def bank_gradients(bank: EmbeddingBank, idx: StyleIndex, upstream: np.ndarray):
     return grad_ek, grad_ec
 
 
-def context_classify(scene, v_highway: float = DEFAULT_V_HIGHWAY) -> int:
+def context_classify(scene) -> int:
     """Highway flag wins; otherwise threshold the mean focal speed."""
     if scene.highway is not None:
         return HIGHWAY if scene.highway else NON_HIGHWAY
@@ -117,7 +116,7 @@ def context_classify(scene, v_highway: float = DEFAULT_V_HIGHWAY) -> int:
     if span <= 0:
         return NON_HIGHWAY
     dist = np.sum(np.hypot(*np.diff(focal.positions, axis=0).T))
-    return HIGHWAY if dist / span >= v_highway else NON_HIGHWAY
+    return HIGHWAY if dist / span >= V_HIGHWAY else NON_HIGHWAY
 
 
 def style_index(
@@ -125,7 +124,6 @@ def style_index(
     tdbm_config: TdbmConfig,
     cluster_models: dict,
     fallback_model: Optional[ClusterModel] = None,
-    v_highway: float = DEFAULT_V_HIGHWAY,
 ) -> StyleIndex:
     """Compose the three non-differentiable classifiers into a bank index.
 
@@ -140,5 +138,5 @@ def style_index(
     else:
         focal = _uniformize(scene.focal, tdbm_config.resample_dt)
         k = assign(model, extract_features(focal))
-    c = context_classify(scene, v_highway)
+    c = context_classify(scene)
     return StyleIndex(z=z, k=k, c=c)

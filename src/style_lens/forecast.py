@@ -21,6 +21,7 @@ from .tdbm import StyleClass
 
 FUSION_MODES = ("none", "early", "late")
 DEFAULT_MISS_THRESHOLD = 2.0  # m, final-displacement miss cutoff
+BATCH_SIZE = 32  # training examples per gradient step
 
 
 class ForecastError(ValueError):
@@ -133,7 +134,7 @@ def _forward(model: ForecastModel, history: np.ndarray, style_vec):
         d = h + model.P @ style_vec
     traj = model.W2 @ d + model.b2            # M x 2T
     logits = model.W3 @ d + model.b3
-    return x, u, h, d, traj, logits
+    return x, h, d, traj, logits
 
 
 def predict(model: ForecastModel, history: np.ndarray, style_vec=None) -> Forecast:
@@ -146,7 +147,7 @@ def predict(model: ForecastModel, history: np.ndarray, style_vec=None) -> Foreca
         raise ForecastError(f"fusion={model.fusion!r} requires a style vector")
     if model.fusion == "none":
         style_vec = np.zeros(model.D)
-    _, _, _, _, traj, logits = _forward(model, history, np.asarray(style_vec, dtype=float))
+    _, _, _, traj, logits = _forward(model, history, np.asarray(style_vec, dtype=float))
     return Forecast(modes=traj.reshape(model.M, model.T, 2), probs=_softmax(logits))
 
 
@@ -217,7 +218,7 @@ def _zero_grads(model: ForecastModel):
     }
 
 
-def _backward(model, x, u, h, d, traj, logits, style_vec, grad_traj_flat, grad_logits, grads):
+def _backward(model, x, h, d, style_vec, grad_traj_flat, grad_logits, grads):
     """Accumulate parameter gradients; returns the style-vector gradient."""
     grads["W2"] += grad_traj_flat[:, :, None] * d[None, None, :]
     grads["b2"] += grad_traj_flat
@@ -243,9 +244,7 @@ def train(
     bank: Optional[EmbeddingBank] = None,
     epochs: int = 100,
     lr: float = 1e-2,
-    batch_size: int = 32,
     seed: int = 0,
-    train_bank: bool = True,
 ):
     """Mini-batch gradient descent with a fixed step and seeded shuffling.
 
@@ -261,8 +260,8 @@ def train(
     for _epoch in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            batch = order[start : start + BATCH_SIZE]
             grads = _zero_grads(model)
             bank_acc = {}
             for idx in batch:
@@ -271,15 +270,14 @@ def train(
                     style_vec = np.zeros(model.D)
                 else:
                     style_vec, _ = lookup(bank, ex.index)
-                x, u, h, d, traj, logits = _forward(model, ex.history, style_vec)
+                x, h, d, traj, logits = _forward(model, ex.history, style_vec)
                 fc = Forecast(modes=traj.reshape(model.M, model.T, 2), probs=_softmax(logits))
                 loss, g_modes, g_logits, _best = wta_loss(fc, ex.future)
                 epoch_loss += loss
                 g_style = _backward(
-                    model, x, u, h, d, traj, logits, style_vec,
-                    g_modes.reshape(model.M, -1), g_logits, grads,
+                    model, x, h, d, style_vec, g_modes.reshape(model.M, -1), g_logits, grads
                 )
-                if model.fusion != "none" and train_bank:
+                if model.fusion != "none":
                     g_ek, g_ec = bank_gradients(bank, ex.index, g_style)
                     key = (ex.index.z, ex.index.k, ex.index.c)
                     if key not in bank_acc:

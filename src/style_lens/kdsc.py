@@ -10,7 +10,7 @@ case."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -81,10 +81,6 @@ class ClusterModel:
     def load(cls, path) -> "ClusterModel":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _feature_matrix(features: Sequence[KinematicFeatures], names) -> np.ndarray:
-    return np.array([[getattr(f, n) for n in names] for f in features], dtype=float)
 
 
 def ward_linkage(points: np.ndarray) -> list:
@@ -201,7 +197,7 @@ def fit_kdsc(
     if n < k:
         raise ClusteringError(f"need at least k={k} points, got {n}")
     names = tuple(feature_subset)
-    raw = _feature_matrix(features, names)
+    raw = np.array([f.as_array(names) for f in features])
     if not np.all(np.isfinite(raw)):
         raise ClusteringError("non-finite feature values")
 
@@ -246,22 +242,12 @@ def label_clusters(model: ClusterModel, features: Sequence[KinematicFeatures]) -
     else:
         aggressive = int(np.argmax(means))
     labels = {aggressive: "aggressive", 1 - aggressive: "normal"}
-    return ClusterModel(
-        feature_names=model.feature_names,
-        mean=model.mean,
-        std=model.std,
-        merge_history=model.merge_history,
-        k=model.k,
-        centroids=model.centroids,
-        labels=labels,
-        train_assignments=model.train_assignments,
-        metadata=metadata,
-    )
+    return replace(model, labels=labels, metadata=metadata)
 
 
 def assign(model: ClusterModel, f: KinematicFeatures) -> int:
     """Nearest-centroid cluster id for a new point; ties to the lower index."""
-    x = np.array([getattr(f, n) for n in model.feature_names], dtype=float)
+    x = f.as_array(model.feature_names)
     if not np.all(np.isfinite(x)):
         raise ClusteringError("non-finite feature values")
     z = model.standardize(x)

@@ -65,16 +65,16 @@ def gamma(speed, dt: float) -> float:
     return float(np.sqrt(total_t**4 * ms_jerk / (v_peak * v_peak)))
 
 
-def extract_features(traj: TrajectorySample, include_endpoints: bool = False) -> KinematicFeatures:
+def extract_features(traj: TrajectorySample) -> KinematicFeatures:
     """Compute the 9-feature kinematic summary of one trajectory.
 
     Variances are population variances (divide by n). Jerk moments use
-    interior samples only unless include_endpoints is set, since the
-    one-sided endpoint jerk estimates are first-order noisy.
+    interior samples only, since the one-sided endpoint jerk estimates are
+    first-order noisy.
     """
     speed, accel, jerk = derivatives(traj)
     dt = traj.dt
-    j = jerk if include_endpoints else jerk[1:-1]
+    j = jerk[1:-1]
     return KinematicFeatures(
         mean_speed=float(np.mean(speed)),
         max_speed=float(np.max(speed)),

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import svg as svg_mod
 from .kdsc import ClusterModel, assign
-from .kinematics import FEATURE_NAMES, extract_features
+from .kinematics import FEATURE_NAMES, KinematicFeatures, extract_features
 from .stats import quantile_inclusive, welch_t_test
 from .tdbm import (
     STYLE_LABELS,
@@ -52,46 +52,31 @@ def classify_scenes_tdbm(scenes, config: TdbmConfig):
 
 
 def scene_features(scene, config: TdbmConfig):
+    """Kinematic features of the scene's focal track on a uniform grid."""
     return extract_features(_uniformize(scene.focal, config.resample_dt))
 
 
-def style_histogram(
-    scenes,
-    classifier: str = "tdbm",
-    tdbm_config: Optional[TdbmConfig] = None,
-    kdsc_model: Optional[ClusterModel] = None,
-):
-    """Counts per style class; zero-count classes stay visible."""
-    if not scenes:
+def style_histogram(classes: Sequence[str]):
+    """Counts per TDBM style class, from one class label per scene (as
+    `classify_scenes_tdbm` gives them); zero-count classes stay visible."""
+    if not classes:
         raise ReportError("cannot build a histogram from zero scenes")
-    tdbm_config = tdbm_config or TdbmConfig()
-    if classifier == "tdbm":
-        counts = {label: 0 for label in STYLE_LABELS}
-        for label in classify_scenes_tdbm(scenes, tdbm_config):
-            counts[label] += 1
-        return counts
-    if classifier == "kdsc":
-        if kdsc_model is None:
-            raise ReportError("kdsc classifier requires a fitted model")
-        labels = [kdsc_model.labels.get(c, f"cluster_{c}") for c in range(kdsc_model.k)]
-        counts = {label: 0 for label in labels}
-        for scene in scenes:
-            cid = assign(kdsc_model, scene_features(scene, tdbm_config))
-            counts[labels[cid]] += 1
-        return counts
-    raise ReportError(f"unknown classifier {classifier!r}")
+    counts = {label: 0 for label in STYLE_LABELS}
+    for label in classes:
+        counts[label] += 1
+    return counts
 
 
-def kinematics_by_style(scenes, styles: Sequence[str], n_min: int = 5,
-                        tdbm_config: Optional[TdbmConfig] = None):
-    """Five-number summaries of the 9 kinematic features, per style.
+def kinematics_by_style(features: Sequence[KinematicFeatures], styles: Sequence[str],
+                        n_min: int = 5):
+    """Five-number summaries of the 9 kinematic features, per style, from one
+    `KinematicFeatures` and one style label per scene.
 
     Styles with fewer than n_min scenes are omitted; returns (rows, omitted).
     """
-    tdbm_config = tdbm_config or TdbmConfig()
     by_style = {}
-    for scene, style in zip(scenes, styles):
-        by_style.setdefault(style, []).append(scene_features(scene, tdbm_config))
+    for f, style in zip(features, styles):
+        by_style.setdefault(style, []).append(f)
     order = [s for s in STYLE_LABELS if s in by_style]
     order += sorted(s for s in by_style if s not in STYLE_LABELS)
     rows, omitted = [], []
@@ -139,29 +124,30 @@ def mdsi_tdbm_heatmap(scenes, classifications: Sequence[str]):
 
 
 def cluster_speed_distribution(
-    scenes,
+    features: Sequence[KinematicFeatures],
+    scene_splits: Sequence[str],
     model: ClusterModel,
     splits=("train", "test"),
     bin_width: float = 0.5,
     speed_range=(0.0, 40.0),
-    tdbm_config: Optional[TdbmConfig] = None,
 ):
     """Per-cluster mean_speed histograms by split, plus a Welch t-test
-    between the two clusters' mean speeds (pooled over the given splits)."""
+    between the two clusters' mean speeds (pooled over the given splits).
+
+    `features` and `scene_splits` hold one entry per scene: its
+    `KinematicFeatures` and its split name."""
     if not model.labels:
         raise ReportError("cluster model must be labeled (aggressive/normal)")
-    tdbm_config = tdbm_config or TdbmConfig()
     edges = np.arange(speed_range[0], speed_range[1] + bin_width / 2, bin_width)
     # seed every (cluster label, split) cell so empty clusters emit zero rows
     speeds = {
         (lab, split): [] for lab in sorted(model.labels.values()) for split in splits
     }
     for split in splits:
-        subset = [s for s in scenes if s.split == split]
+        subset = [f for f, s in zip(features, scene_splits) if s == split]
         if not subset:
             raise ReportError(f"no scenes in split {split!r}")
-        for scene in subset:
-            f = scene_features(scene, tdbm_config)
+        for f in subset:
             label = model.labels[assign(model, f)]
             speeds.setdefault((label, split), []).append(f.mean_speed)
     hists = {
@@ -209,14 +195,18 @@ def run_report(
     n_min: int = 5,
     svg: bool = False,
 ):
-    """Emit the four report CSVs (and optional SVG twins) into out_dir."""
+    """Emit the four report CSVs (and optional SVG twins) into out_dir.
+
+    Each scene's TDBM class and kinematic features are computed once here and
+    shared by the four reports."""
     tdbm_config = tdbm_config or TdbmConfig()
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     classifications = classify_scenes_tdbm(scenes, tdbm_config)
+    features = [scene_features(s, tdbm_config) for s in scenes]
 
-    counts = style_histogram(scenes, "tdbm", tdbm_config)
+    counts = style_histogram(classifications)
     path = os.path.join(out_dir, "style_histogram.csv")
     _write_csv(
         path,
@@ -231,7 +221,7 @@ def run_report(
                                 title="TDBM style distribution")
         written.append(p)
 
-    rows, omitted = kinematics_by_style(scenes, classifications, n_min, tdbm_config)
+    rows, omitted = kinematics_by_style(features, classifications, n_min)
     path = os.path.join(out_dir, "kinematics_boxplots.csv")
     _write_csv(
         path,
@@ -268,9 +258,9 @@ def run_report(
             written.append(p)
 
     if kdsc_model is not None and kdsc_model.labels:
-        splits = tuple(sorted({s.split for s in scenes}))
+        scene_splits = [s.split for s in scenes]
         dist = cluster_speed_distribution(
-            scenes, kdsc_model, splits=splits, tdbm_config=tdbm_config
+            features, scene_splits, kdsc_model, splits=tuple(sorted(set(scene_splits)))
         )
         welch = dist["welch"]
         extra = {"bin_width": 0.5, "speed_range": "0-40"}

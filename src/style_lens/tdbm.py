@@ -10,7 +10,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .traj import Scene, TrajectorySample, TrajectoryError, derivatives, resample_uniform
+from .traj import (Scene, TrajectoryError, TrajectorySample, central_diff, derivatives,
+                   resample_uniform)
 
 # Fixed mapping matrix: rows are style classes (aggressive ... timid),
 # columns are (s_center, v_nei, s_front, v_avg, j_l, bias).
@@ -65,13 +66,9 @@ class TdbmConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TdbmConfig":
-        return cls(**d)
-
-    @classmethod
     def load(cls, path) -> "TdbmConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls(**json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -110,21 +107,10 @@ def _uniformize(traj: TrajectorySample, dt: float) -> TrajectorySample:
     return resample_uniform(traj, dt)
 
 
-def _speed_on_grid(positions: np.ndarray, dt: float) -> np.ndarray:
-    vel = np.empty_like(positions)
-    vel[1:-1] = (positions[2:] - positions[:-2]) / (2.0 * dt)
-    vel[0] = (positions[1] - positions[0]) / dt
-    vel[-1] = (positions[-1] - positions[-2]) / dt
-    return np.hypot(vel[:, 0], vel[:, 1])
-
-
 def _headings(focal: TrajectorySample, dt: float) -> np.ndarray:
     if focal.heading is not None:
         return np.asarray(focal.heading, dtype=float)
-    vel = np.empty_like(focal.positions)
-    vel[1:-1] = (focal.positions[2:] - focal.positions[:-2]) / (2.0 * dt)
-    vel[0] = (focal.positions[1] - focal.positions[0]) / dt
-    vel[-1] = (focal.positions[-1] - focal.positions[-2]) / dt
+    vel = central_diff(focal.positions, dt)
     h = np.arctan2(vel[:, 1], vel[:, 0])
     # hold the previous heading through near-zero-speed samples
     speed = np.hypot(vel[:, 0], vel[:, 1])
@@ -168,7 +154,7 @@ def build_tdbm_features(scene: Scene, config: TdbmConfig = TdbmConfig()) -> Tdbm
         py = np.interp(t, nbr.timestamps, nbr.positions[:, 1])
         pos = np.column_stack([px, py])
         nbr_pos.append(pos)
-        nbr_speed.append(_speed_on_grid(pos, dt))
+        nbr_speed.append(np.hypot(*central_diff(pos, dt).T))
         nbr_valid.append((t >= nbr.timestamps[0] - 1e-9) & (t <= nbr.timestamps[-1] + 1e-9))
 
     headings = _headings(focal, dt)

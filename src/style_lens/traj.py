@@ -41,12 +41,12 @@ class TrajectorySample:
             raise TrajectoryError(
                 f"agent {self.agent_id!r}: timestamps and positions length mismatch"
             )
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+            raise TrajectoryError(f"agent {self.agent_id!r}: non-finite coordinates")
         if len(t) >= 2 and not np.all(np.diff(t) > 0):
             raise TrajectoryError(
                 f"agent {self.agent_id!r}: timestamps not strictly increasing"
             )
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
-            raise TrajectoryError(f"agent {self.agent_id!r}: non-finite coordinates")
         if self.heading is not None:
             h = np.asarray(self.heading, dtype=float)
             object.__setattr__(self, "heading", h)
@@ -82,6 +82,12 @@ class Scene:
         object.__setattr__(self, "agents", tuple(self.agents))
         if self.split not in VALID_SPLITS:
             raise TrajectoryError(f"scene {self.scene_id!r}: bad split {self.split!r}")
+        if self.highway is not None and not isinstance(self.highway, bool):
+            raise TrajectoryError(f"scene {self.scene_id!r}: highway must be a bool or "
+                                  f"null, got {self.highway!r}")
+        if self.mdsi_label is not None and not isinstance(self.mdsi_label, str):
+            raise TrajectoryError(f"scene {self.scene_id!r}: mdsi_label must be a string "
+                                  f"or null, got {self.mdsi_label!r}")
         ids = [a.agent_id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise TrajectoryError(f"scene {self.scene_id!r}: duplicate agent_id")
@@ -173,9 +179,11 @@ def _load_jsonl(path) -> list:
     return scenes
 
 
-def _load_csv(path, meta_path=None) -> list:
+def _load_csv(path) -> list:
     """Long-format CSV: scene_id,agent_id,t,x,y plus an optional sidecar
-    metadata CSV (<path>.meta.csv) with scene_id,focal_agent_id,split,highway,mdsi_label."""
+    metadata CSV (<path>.meta.csv) with scene_id,focal_agent_id,split,highway,mdsi_label.
+
+    A bad agent track names the file and scene; a bad scene names its meta line."""
     rows = {}
     order = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -191,12 +199,14 @@ def _load_csv(path, meta_path=None) -> list:
                 order.append(key)
             rows.setdefault(key, []).append((t, x, y))
 
-    meta = {}
-    mp = meta_path or (str(path) + ".meta.csv")
+    meta = {}   # scene_id -> (meta line number, record)
+    mp = str(path) + ".meta.csv"
     try:
         with open(mp, "r", encoding="utf-8", newline="") as fh:
-            for rec in csv.DictReader(fh):
-                meta[rec["scene_id"]] = rec
+            for lineno, rec in enumerate(csv.DictReader(fh), start=2):
+                if "scene_id" not in rec:
+                    raise TrajectoryError(f"{mp}, line {lineno}: no scene_id column")
+                meta[rec["scene_id"]] = (lineno, rec)
     except FileNotFoundError:
         pass
 
@@ -208,29 +218,27 @@ def _load_csv(path, meta_path=None) -> list:
             scene_ids.append(sid)
         samples = sorted(rows[(sid, aid)])
         arr = np.asarray(samples, dtype=float)
-        per_scene[sid].append(
-            TrajectorySample(agent_id=aid, timestamps=arr[:, 0], positions=arr[:, 1:3])
-        )
+        try:
+            agent = TrajectorySample(agent_id=aid, timestamps=arr[:, 0], positions=arr[:, 1:3])
+        except TrajectoryError as exc:
+            raise TrajectoryError(f"{path}, scene {sid!r}: {exc}") from exc
+        per_scene[sid].append(agent)
 
     scenes = []
     for sid in scene_ids:
-        m = meta.get(sid, {})
-        highway = m.get("highway")
-        if highway in ("", None):
-            highway = None
-        else:
-            highway = highway in ("true", "True", "1")
-        mdsi = m.get("mdsi_label") or None
-        scenes.append(
-            Scene(
+        lineno, m = meta.get(sid, (None, {}))
+        highway = None if m.get("highway") in ("", None) else m["highway"] in ("true", "True", "1")
+        try:
+            scenes.append(Scene(
                 scene_id=sid,
                 focal_agent_id=m.get("focal_agent_id", per_scene[sid][0].agent_id),
                 agents=tuple(per_scene[sid]),
                 split=m.get("split", "train"),
                 highway=highway,
-                mdsi_label=mdsi,
-            )
-        )
+                mdsi_label=m.get("mdsi_label") or None,
+            ))
+        except TrajectoryError as exc:  # only meta values can make a scene invalid
+            raise TrajectoryError(f"{mp}, line {lineno}: {exc}") from exc
     return scenes
 
 
@@ -249,10 +257,9 @@ def resample_uniform(traj: TrajectorySample, dt: float) -> TrajectorySample:
         raise TrajectoryError("need at least 2 samples to resample")
     t = traj.timestamps
     # identity short-circuit keeps already-uniform inputs bit-identical
-    if len(t) >= 2:
-        steps = np.diff(t)
-        if abs(np.ptp(steps)) <= 1e-12 and abs(steps[0] - dt) <= 1e-12:
-            return traj
+    steps = np.diff(t)
+    if abs(np.ptp(steps)) <= 1e-12 and abs(steps[0] - dt) <= 1e-12:
+        return traj
     n = int(math.floor((t[-1] - t[0]) / dt + 1e-9)) + 1
     new_t = t[0] + dt * np.arange(n)
     x = np.interp(new_t, t, traj.positions[:, 0])
@@ -279,22 +286,16 @@ def derivatives(traj: TrajectorySample):
     if len(traj) < 4:
         raise TrajectoryError(f"need >= 4 samples for derivatives, got {len(traj)}")
     dt = traj.dt  # raises on non-uniform spacing
-    vel = _central_diff_vec(traj.positions, dt)
+    vel = central_diff(traj.positions, dt)
     speed = np.hypot(vel[:, 0], vel[:, 1])
-    accel = _central_diff(speed, dt)
-    jerk = _central_diff(accel, dt)
+    accel = central_diff(speed, dt)
+    jerk = central_diff(accel, dt)
     return speed, accel, jerk
 
 
-def _central_diff(y: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty_like(y)
-    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
-    out[0] = (y[1] - y[0]) / dt
-    out[-1] = (y[-1] - y[-2]) / dt
-    return out
-
-
-def _central_diff_vec(y: np.ndarray, dt: float) -> np.ndarray:
+def central_diff(y: np.ndarray, dt: float) -> np.ndarray:
+    """d/dt along axis 0 of a uniformly sampled signal: central differences
+    inside, one-sided first-order differences at the two endpoints."""
     out = np.empty_like(y)
     out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
     out[0] = (y[1] - y[0]) / dt

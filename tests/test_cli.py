@@ -109,3 +109,40 @@ def test_custom_mix_flag(tmp_path):
           "--labels", str(tmp_path / "l.csv")])
     lines = (tmp_path / "l.csv").read_text().splitlines()[1:]
     assert all(l.endswith(",aggressive") for l in lines)
+
+
+def test_eval_conditions_on_the_trained_style_rows(workspace):
+    w = workspace
+    main(["train-embed", "--in", str(w / "yellow.jsonl"), "--labels", str(w / "yellow_labels.csv"),
+          "--fusion", "early", "--epochs", "3", "--modes", "1", "--hidden", "8", "--dim", "4",
+          "--model", str(w / "fc.json"), "--bank", str(w / "bank.json")])
+    assert json.loads((w / "bank.json").read_text())["style_names"] == ["aggressive", "timid"]
+
+    # a timid-only corpus and label file: timid must keep its training row z=1
+    labels = (w / "yellow_labels.csv").read_text().splitlines()
+    timid = {line.split(",")[0] for line in labels[1:] if line.endswith(",timid")}
+    (w / "timid_labels.csv").write_text(
+        "\n".join([labels[0]] + [l for l in labels[1:] if l.endswith(",timid")]) + "\n")
+    (w / "timid.jsonl").write_text("".join(
+        line + "\n" for line in (w / "yellow.jsonl").read_text().splitlines()
+        if json.loads(line)["scene_id"] in timid))
+
+    def evaluate(corpus, label_file, out):
+        main(["eval", "--in", str(w / corpus), "--labels", str(w / label_file),
+              "--model", str(w / "fc.json"), "--bank", str(w / "bank.json"),
+              "--out", str(w / out)])
+        rows = [l.split(",") for l in (w / out).read_text().splitlines()[1:]]
+        return {r[0]: r[2:] for r in rows}
+
+    full = evaluate("yellow.jsonl", "yellow_labels.csv", "full.csv")
+    only = evaluate("timid.jsonl", "timid_labels.csv", "timid.csv")
+    assert only["timid"] == only["Overall"] == full["timid"]
+
+    # a scene without a label, or with a style the bank never saw, names the scene
+    missing = next(l.split(",")[0] for l in labels[1:] if l.endswith(",aggressive"))
+    with pytest.raises(SystemExit, match=f"no label for scene '{missing}'"):
+        evaluate("yellow.jsonl", "timid_labels.csv", "bad.csv")
+    (w / "odd_labels.csv").write_text((w / "timid_labels.csv").read_text()
+                                      .replace(",timid", ",reckless"))
+    with pytest.raises(SystemExit, match=r"scene '.*': style 'reckless'"):
+        evaluate("timid.jsonl", "odd_labels.csv", "bad.csv")

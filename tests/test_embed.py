@@ -31,7 +31,7 @@ def tiny_bank():
 class TestLookup:
     def test_rank_one_table_arithmetic(self):
         bank = tiny_bank()
-        table = bank.table(0)
+        table = bank.e_k[0] @ bank.e_c[0].T
         np.testing.assert_allclose(table, [[10.0, 14.0], [15.0, 21.0]])
         vec, scalar = lookup(bank, StyleIndex(z=0, k=1, c=1))
         np.testing.assert_allclose(vec, [21.0])
@@ -55,7 +55,8 @@ class TestLookup:
                         bank.e_k[z][k][d] * bank.e_c[z][c][d] for d in range(8)
                     )
                     assert scalar == pytest.approx(oracle, abs=1e-12)
-                    assert scalar == pytest.approx(bank.table(z)[k, c], abs=1e-12)
+                    table = bank.e_k[z] @ bank.e_c[z].T
+                    assert scalar == pytest.approx(table[k, c], abs=1e-12)
 
     def test_out_of_range_index(self):
         bank = EmbeddingBank.init(num_styles=2, K=2, D=4)

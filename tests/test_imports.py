@@ -1,4 +1,5 @@
-"""Every module-level import in the package modules is used."""
+"""Every module-level import and every function parameter in the package
+modules is used."""
 
 import ast
 import pathlib
@@ -30,3 +31,24 @@ def test_no_unused_module_imports(path):
     unused = [f"line {line}: {name}" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def unused_parameters(tree):
+    """(line, function, parameter) for each parameter its function body never
+    reads; self, cls and _-prefixed names are exempt."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        for p in params:
+            if p.arg not in ("self", "cls") and not p.arg.startswith("_") and p.arg not in read:
+                yield node.lineno, node.name, p.arg
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = [f"line {line}: {fn}({arg})" for line, fn, arg in unused_parameters(tree)]
+    assert not unused, f"{path.name} has unused parameters: {unused}"

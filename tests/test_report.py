@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from style_lens import TdbmConfig, fit_kdsc, gen_cruise, run_report
-from style_lens.kdsc import assign, label_clusters
+from style_lens.kdsc import label_clusters
 from style_lens.report import (
     ReportError,
     classify_scenes_tdbm,
@@ -32,37 +32,31 @@ def cruise_corpus():
     return [s for s, _ in pairs], [lab for _, lab in pairs]
 
 
+def features_of(scenes):
+    return [scene_features(s, TdbmConfig()) for s in scenes]
+
+
+def splits_of(scenes):
+    return [s.split for s in scenes]
+
+
 @pytest.fixture(scope="module")
 def cruise_model(cruise_corpus):
     scenes, _ = cruise_corpus
-    cfg = TdbmConfig()
-    feats = [scene_features(s, cfg) for s in scenes]
+    feats = features_of(scenes)
     return label_clusters(fit_kdsc(feats, k=2), feats)
 
 
 class TestStyleHistogram:
     def test_single_agent_scenes_all_threatening(self):
-        counts = style_histogram(single_agent_scenes(10))
+        counts = style_histogram(classify_scenes_tdbm(single_agent_scenes(10), TdbmConfig()))
         assert counts["threatening"] == 10
         assert all(counts[lbl] == 0 for lbl in STYLE_LABELS if lbl != "threatening")
 
     def test_counts_sum_to_scene_count(self, cruise_corpus):
         scenes, _ = cruise_corpus
-        counts = style_histogram(scenes)
+        counts = style_histogram(classify_scenes_tdbm(scenes, TdbmConfig()))
         assert sum(counts.values()) == len(scenes)
-
-    def test_kdsc_counts_match_assignments(self, cruise_corpus, cruise_model):
-        scenes, _ = cruise_corpus
-        cfg = TdbmConfig()
-        counts = style_histogram(scenes, "kdsc", cfg, cruise_model)
-        want = {lab: 0 for lab in cruise_model.labels.values()}
-        for s in scenes:
-            want[cruise_model.labels[assign(cruise_model, scene_features(s, cfg))]] += 1
-        assert counts == want
-
-    def test_kdsc_without_model_errors(self):
-        with pytest.raises(ReportError):
-            style_histogram(single_agent_scenes(3), "kdsc")
 
     def test_empty_corpus_errors(self):
         with pytest.raises(ReportError):
@@ -71,24 +65,24 @@ class TestStyleHistogram:
 
 class TestKinematicsByStyle:
     def test_identical_scenes_degenerate_summary(self):
-        scenes = single_agent_scenes(6)
-        rows, omitted = kinematics_by_style(scenes, ["threatening"] * 6)
+        feats = features_of(single_agent_scenes(6))
+        rows, omitted = kinematics_by_style(feats, ["threatening"] * 6)
         assert omitted == []
         for r in rows:
             assert r.min == r.q1 == r.median == r.q3 == r.max
             assert r.n == 6
 
     def test_small_style_omitted(self):
-        scenes = single_agent_scenes(8)
+        feats = features_of(single_agent_scenes(8))
         styles = ["threatening"] * 5 + ["careful"] * 3
-        rows, omitted = kinematics_by_style(scenes, styles, n_min=5)
+        rows, omitted = kinematics_by_style(feats, styles, n_min=5)
         assert omitted == [("careful", 3)]
         assert {r.style for r in rows} == {"threatening"}
 
     def test_styles_ordered_ordinally(self, cruise_corpus):
         scenes, _ = cruise_corpus
         styles = classify_scenes_tdbm(scenes, TdbmConfig())
-        rows, _ = kinematics_by_style(scenes, styles, n_min=1)
+        rows, _ = kinematics_by_style(features_of(scenes), styles, n_min=1)
         seen = []
         for r in rows:
             if r.style not in seen:
@@ -135,8 +129,8 @@ class TestHeatmap:
 class TestClusterSpeedDistribution:
     def test_histograms_conserve_counts(self, cruise_corpus, cruise_model):
         scenes, _ = cruise_corpus
-        dist = cluster_speed_distribution(scenes, cruise_model,
-                                          splits=("train", "test"))
+        dist = cluster_speed_distribution(features_of(scenes), splits_of(scenes),
+                                          cruise_model, splits=("train", "test"))
         for split in ("train", "test"):
             total = sum(dist["hists"][(lab, split)].sum()
                         for lab in cruise_model.labels.values())
@@ -146,15 +140,16 @@ class TestClusterSpeedDistribution:
         # speed is not a clustering feature, yet the clusters differ in it
         scenes, _ = cruise_corpus
         assert "mean_speed" not in cruise_model.feature_names
-        dist = cluster_speed_distribution(scenes, cruise_model,
-                                          splits=("train", "test"))
+        dist = cluster_speed_distribution(features_of(scenes), splits_of(scenes),
+                                          cruise_model, splits=("train", "test"))
         assert dist["welch"] is not None
         assert dist["welch"].p_value < 0.01
 
     def test_single_cluster_leaves_other_zero(self, cruise_model):
         # all scenes slow and smooth: everything lands in one cluster
         scenes = single_agent_scenes(6)
-        dist = cluster_speed_distribution(scenes, cruise_model, splits=("train",))
+        dist = cluster_speed_distribution(features_of(scenes), splits_of(scenes),
+                                          cruise_model, splits=("train",))
         hists = dist["hists"]
         totals = {lab: hists[(lab, "train")].sum()
                   for lab in cruise_model.labels.values()}
@@ -163,14 +158,15 @@ class TestClusterSpeedDistribution:
     def test_missing_split_errors(self, cruise_model):
         scenes = single_agent_scenes(4, split="train")
         with pytest.raises(ReportError, match="test"):
-            cluster_speed_distribution(scenes, cruise_model,
-                                       splits=("train", "test"))
+            cluster_speed_distribution(features_of(scenes), splits_of(scenes),
+                                       cruise_model, splits=("train", "test"))
 
     def test_unlabeled_model_errors(self, cruise_corpus, cruise_model):
         scenes, _ = cruise_corpus
-        bare = fit_kdsc([scene_features(s, TdbmConfig()) for s in scenes], k=2)
+        feats = features_of(scenes)
+        bare = fit_kdsc(feats, k=2)
         with pytest.raises(ReportError):
-            cluster_speed_distribution(scenes, bare)
+            cluster_speed_distribution(feats, splits_of(scenes), bare)
 
 
 class TestRunReport:

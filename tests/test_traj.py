@@ -126,6 +126,48 @@ class TestInterchange:
             load_scenes(path, format="csv")
 
 
+def _jsonl(**scene_fields):
+    rec = scene_to_record(make_scene("s0", make_traj("f", [0, 1, 2, 3])))
+    rec.update(scene_fields)
+    return {"scenes.jsonl": json.dumps(rec) + "\n"}
+
+
+def _csv(rows, meta=None):
+    files = {"scenes.csv": "scene_id,agent_id,t,x,y\n" + rows}
+    if meta is not None:
+        files["scenes.csv.meta.csv"] = meta
+    return files
+
+
+FOUR_ROWS = "".join(f"s0,f,{t}.0,{t}.0,0.0\n" for t in range(4))
+
+# (files, the file the error must name, a pattern the message must contain)
+BAD_INPUTS = {
+    "jsonl-highway-string": (_jsonl(highway="false"), "scenes.jsonl, line 1", "highway"),
+    "jsonl-mdsi-not-string": (_jsonl(mdsi_label=3), "scenes.jsonl, line 1", "mdsi_label"),
+    "csv-duplicate-t": (_csv(FOUR_ROWS + "s0,f,3.0,9.0,0.0\n"), "scenes.csv, scene 's0'",
+                        "increasing"),
+    "csv-nan-t": (_csv("s0,f,nan,0.0,0.0\n" + FOUR_ROWS), "scenes.csv, scene 's0'",
+                  "non-finite"),
+    "meta-no-scene-id": (_csv(FOUR_ROWS, "id,split\ns0,train\n"),
+                         "scenes.csv.meta.csv, line 2", "scene_id"),
+    "meta-bad-split": (_csv(FOUR_ROWS, "scene_id,split\ns0,dev\n"),
+                       "scenes.csv.meta.csv, line 2", "split"),
+    "meta-unknown-focal": (_csv(FOUR_ROWS, "scene_id,focal_agent_id\ns0,ghost\n"),
+                           "scenes.csv.meta.csv, line 2", "ghost"),
+}
+
+
+@pytest.mark.parametrize("files,where,what", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
+def test_bad_input_names_its_location(tmp_path, files, where, what):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    data = min(files)  # scenes.csv or scenes.jsonl, not the meta sidecar
+    with pytest.raises(TrajectoryError, match=re.escape(f"{tmp_path / where}")) as err:
+        load_scenes(tmp_path / data, format=data.rsplit(".", 1)[1])
+    assert what in str(err.value)
+
+
 class TestResample:
     def test_midpoint_interpolation(self):
         tr = TrajectorySample("a", np.array([0.0, 1.0]),
