@@ -32,12 +32,27 @@ def _tdbm_config(path):
     return TdbmConfig.load(path) if path else TdbmConfig()
 
 
-def _load_label_map(path):
-    out = {}
+def _read_csv(path, parse):
+    """parse(record) of each data row; a missing column, a short or long row
+    or a bad value exits naming the file and line."""
+    out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out[rec["scene_id"]] = rec["label"]
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            where = f"{path}, line {reader.line_num}"
+            try:
+                if None in rec or None in rec.values():  # csv's marks of a short or long row
+                    raise ValueError("wrong number of fields")
+                out.append(parse(rec))
+            except KeyError as exc:
+                raise SystemExit(f"{where}: no {exc.args[0]!r} column") from exc
+            except (TypeError, ValueError) as exc:
+                raise SystemExit(f"{where}: {exc}") from exc
     return out
+
+
+def _load_label_map(path):
+    return dict(_read_csv(path, lambda rec: (rec["scene_id"], rec["label"])))
 
 
 def cmd_synth(args):
@@ -89,12 +104,9 @@ def cmd_tdbm(args):
 
 
 def _read_features_csv(path):
-    ids, feats = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            ids.append((rec["scene_id"], rec["agent_id"]))
-            feats.append(KinematicFeatures(**{n: float(rec[n]) for n in FEATURE_NAMES}))
-    return ids, feats
+    rows = _read_csv(path, lambda rec: ((rec["scene_id"], rec["agent_id"]), KinematicFeatures(
+        **{n: float(rec[n]) for n in FEATURE_NAMES})))
+    return [ids for ids, _ in rows], [f for _, f in rows]
 
 
 def cmd_kdsc(args):
@@ -140,8 +152,7 @@ def cmd_train_embed(args):
     scenes = load_scenes(args.infile, args.format)
     styles, names = _scene_styles(scenes, args)
     indices = _style_indices(scenes, styles, names)
-    bank = EmbeddingBank.init(num_styles=len(names), K=1 if args.labels else args.clusters,
-                              D=args.dim, seed=args.seed)
+    bank = EmbeddingBank.init(num_styles=len(names), K=1, D=args.dim, seed=args.seed)
     bank.style_names = names
     model = ForecastModel.init(
         H=args.history, T=args.horizon, M=args.modes, hidden=args.hidden,
@@ -249,7 +260,6 @@ def build_parser():
     p.add_argument("--modes", type=int, default=6)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--clusters", type=int, default=3)
     p.set_defaults(func=cmd_train_embed)
 
     p = sub.add_parser("eval", help="evaluate a trained model, metrics by style")

@@ -1,15 +1,16 @@
 """Factorized style-context embedding bank.
 
-Each style owns two factor matrices: per-cluster rows e_k (K x D) and
-per-context rows e_c (2 x D). The scalar table E = e_k . e_c^T indexes a
-(cluster, context) pair; the conditioning vector handed to the forecaster is
-the elementwise factor interaction, whose sum is exactly the table entry.
+Each style z owns two factor matrices: per-cluster rows e_k[z] (K x D) and
+per-context rows e_c[z] (2 x D), stored as one Z x K x D and one Z x 2 x D
+array. The scalar table E = e_k[z] . e_c[z]^T indexes a (cluster, context)
+pair; the conditioning vector handed to the forecaster is the elementwise
+factor interaction, whose sum is exactly the table entry.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,6 +25,8 @@ V_HIGHWAY = 16.7  # m/s, ~60 km/h: mean focal speed at or above it is highway
 
 @dataclass(frozen=True)
 class StyleIndex:
+    """One bank index, or a batch of them when each field is an int array."""
+
     z: int  # style class id
     k: int  # intra-style cluster id
     c: int  # 0 = non-highway, 1 = highway
@@ -35,19 +38,21 @@ class EmbeddingBank:
     K: int = 3
     D: int = 16
     seed: int = 0
-    e_k: list = field(default_factory=list)  # per style: K x D
-    e_c: list = field(default_factory=list)  # per style: 2 x D
+    e_k: np.ndarray = None  # Z x K x D
+    e_c: np.ndarray = None  # Z x 2 x D
     style_names: tuple = ()  # style name of each row z; empty if unknown
 
     @classmethod
     def init(cls, num_styles: int = 6, K: int = 3, D: int = 16, seed: int = 0) -> "EmbeddingBank":
         rng = np.random.default_rng(seed)
-        e_k = [rng.uniform(-0.1, 0.1, size=(K, D)) for _ in range(num_styles)]
-        e_c = [rng.uniform(-0.1, 0.1, size=(2, D)) for _ in range(num_styles)]
+        e_k = rng.uniform(-0.1, 0.1, size=(num_styles, K, D))
+        e_c = rng.uniform(-0.1, 0.1, size=(num_styles, 2, D))
         return cls(num_styles=num_styles, K=K, D=D, seed=seed, e_k=e_k, e_c=e_c)
 
     def validate_index(self, idx: StyleIndex) -> None:
-        if not (0 <= idx.z < self.num_styles and 0 <= idx.k < self.K and idx.c in (0, 1)):
+        z, k, c = (np.asarray(v) for v in (idx.z, idx.k, idx.c))
+        if not np.all((0 <= z) & (z < self.num_styles) & (0 <= k) & (k < self.K)
+                      & ((c == 0) | (c == 1))):
             raise IndexError(f"index {idx} out of range for bank "
                              f"(|Z|={self.num_styles}, K={self.K})")
 
@@ -71,8 +76,8 @@ class EmbeddingBank:
             K=int(d["K"]),
             D=int(d["D"]),
             seed=int(d.get("seed", 0)),
-            e_k=[np.asarray(s["e_k"], dtype=float) for s in d["styles"]],
-            e_c=[np.asarray(s["e_c"], dtype=float) for s in d["styles"]],
+            e_k=np.asarray([s["e_k"] for s in d["styles"]], dtype=float),
+            e_c=np.asarray([s["e_c"] for s in d["styles"]], dtype=float),
             style_names=tuple(d.get("style_names", ())),
         )
 
@@ -88,23 +93,23 @@ class EmbeddingBank:
 
 
 def lookup(bank: EmbeddingBank, idx: StyleIndex):
-    """Conditioning vector (factor interaction) and its scalar table entry."""
+    """Conditioning vector (factor interaction) and its scalar table entry;
+    a batched index gives a B x D array of vectors and B entries."""
     bank.validate_index(idx)
-    vector = bank.e_k[idx.z][idx.k] * bank.e_c[idx.z][idx.c]
-    return vector, float(vector.sum())
+    vector = bank.e_k[idx.z, idx.k] * bank.e_c[idx.z, idx.c]
+    return vector, vector.sum(axis=-1)
 
 
 def bank_gradients(bank: EmbeddingBank, idx: StyleIndex, upstream: np.ndarray):
-    """Gradients of the lookup vector wrt the two touched factor rows.
+    """Gradients of upstream . lookup vector wrt the two touched factor rows.
 
-    Returns (grad_e_k_row, grad_e_c_row); all untouched rows have zero
-    gradient by construction.
+    Returns (grad_e_k_row, grad_e_c_row), each shaped like upstream (D, or
+    B x D for a batched index); all untouched rows have zero gradient by
+    construction.
     """
     bank.validate_index(idx)
     upstream = np.asarray(upstream, dtype=float)
-    grad_ek = upstream * bank.e_c[idx.z][idx.c]
-    grad_ec = upstream * bank.e_k[idx.z][idx.k]
-    return grad_ek, grad_ec
+    return upstream * bank.e_c[idx.z, idx.c], upstream * bank.e_k[idx.z, idx.k]
 
 
 def context_classify(scene) -> int:

@@ -4,8 +4,13 @@ A two-layer network (tanh encoder, per-mode linear regression heads plus a
 mode-probability head) stands in for a full transformer backbone; the point
 is the style-conditioning mechanism, which is backbone-agnostic. The style
 vector from the embedding bank is injected either into the encoder
-pre-activation (early fusion) or the decoder input (late fusion). All
-gradients are hand-derived so training is bit-reproducible.
+pre-activation (early fusion) or the decoder input (late fusion).
+
+One batched forward pass over B x 2H histories serves predict (B=1), each
+training mini-batch and the whole evaluation set. The backward pass is
+written by hand over the batch with matrix products, so training is
+bit-reproducible; bank rows get their gradients through one lookup and one
+bank_gradients call per batch.
 """
 
 from __future__ import annotations
@@ -119,22 +124,22 @@ class MetricsRow:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward(model: ForecastModel, history: np.ndarray, style_vec):
-    x = model.input_scale * history.reshape(-1)
-    u = model.W1 @ x + model.b1
+def _forward(model: ForecastModel, x: np.ndarray, style: np.ndarray):
+    """Forward pass over a batch: x is B x 2H scaled histories, style is
+    B x D (read only under fusion). Returns (h, d, Forecast with B x M x T x 2
+    modes and B x M probs)."""
+    u = x @ model.W1.T + model.b1
     if model.fusion == "early":
-        u = u + model.P @ style_vec
+        u = u + style @ model.P.T
     h = np.tanh(u)
-    d = h
-    if model.fusion == "late":
-        d = h + model.P @ style_vec
-    traj = model.W2 @ d + model.b2            # M x 2T
-    logits = model.W3 @ d + model.b3
-    return x, h, d, traj, logits
+    d = h + style @ model.P.T if model.fusion == "late" else h
+    traj = d @ model.W2.reshape(-1, model.hidden).T + model.b2.reshape(-1)
+    logits = d @ model.W3.T + model.b3
+    return h, d, Forecast(modes=traj.reshape(-1, model.M, model.T, 2), probs=_softmax(logits))
 
 
 def predict(model: ForecastModel, history: np.ndarray, style_vec=None) -> Forecast:
@@ -145,10 +150,9 @@ def predict(model: ForecastModel, history: np.ndarray, style_vec=None) -> Foreca
         raise ForecastError(f"history shape {history.shape} != ({model.H}, 2)")
     if model.fusion != "none" and style_vec is None:
         raise ForecastError(f"fusion={model.fusion!r} requires a style vector")
-    if model.fusion == "none":
-        style_vec = np.zeros(model.D)
-    _, _, _, traj, logits = _forward(model, history, np.asarray(style_vec, dtype=float))
-    return Forecast(modes=traj.reshape(model.M, model.T, 2), probs=_softmax(logits))
+    style = np.zeros(model.D) if style_vec is None else np.asarray(style_vec, dtype=float)
+    fc = _forward(model, model.input_scale * history.reshape(1, -1), style[None])[2]
+    return Forecast(modes=fc.modes[0], probs=fc.probs[0])
 
 
 def wta_loss(forecast: Forecast, gt: np.ndarray):
@@ -157,22 +161,22 @@ def wta_loss(forecast: Forecast, gt: np.ndarray):
 
     Returns (loss, grad_modes, grad_logits, best_mode). grad_modes is zero
     outside the best mode; grad_logits assumes probs = softmax(logits).
-    Ties in mode selection go to the lower index.
+    Ties in mode selection go to the lower index. Leading batch axes of
+    modes (... x M x T x 2), probs and gt (... x T x 2) carry through.
     """
     gt = np.asarray(gt, dtype=float)
-    M, T, _ = forecast.modes.shape
-    if gt.shape != (T, 2):
-        raise ForecastError(f"ground truth shape {gt.shape} != ({T}, 2)")
-    sq = np.sum((forecast.modes - gt[None]) ** 2, axis=(1, 2))  # per-mode total sq disp
-    best = int(np.argmin(sq))
-    reg = sq[best] / T
-    ce = -float(np.log(max(forecast.probs[best], 1e-300)))
-    grad_modes = np.zeros_like(forecast.modes)
-    grad_modes[best] = 2.0 * (forecast.modes[best] - gt) / T
-    onehot = np.zeros(M)
-    onehot[best] = 1.0
-    grad_logits = forecast.probs - onehot
-    return reg + ce, grad_modes, grad_logits, best
+    modes, probs = forecast.modes, forecast.probs
+    M, T = modes.shape[-3:-1]
+    if gt.shape != modes.shape[:-3] + (T, 2):
+        raise ForecastError(f"ground truth shape {gt.shape} != {modes.shape[:-3] + (T, 2)}")
+    diff = modes - gt[..., None, :, :]
+    sq = np.sum(diff ** 2, axis=(-2, -1))  # per-mode total sq disp
+    best = np.argmin(sq, axis=-1)
+    onehot = (np.arange(M) == best[..., None]).astype(float)
+    reg = np.sum(onehot * sq, axis=-1) / T
+    ce = -np.log(np.maximum(np.sum(onehot * probs, axis=-1), 1e-300))
+    grad_modes = onehot[..., None, None] * (2.0 * diff / T)
+    return reg + ce, grad_modes, probs - onehot, best
 
 
 @dataclass(frozen=True)
@@ -209,33 +213,22 @@ def examples_from_scenes(scenes, H: int, T: int, indices=None, styles=None):
     return examples, skipped
 
 
-def _zero_grads(model: ForecastModel):
-    return {
-        "W1": np.zeros_like(model.W1), "b1": np.zeros_like(model.b1),
-        "P": np.zeros_like(model.P),
-        "W2": np.zeros_like(model.W2), "b2": np.zeros_like(model.b2),
-        "W3": np.zeros_like(model.W3), "b3": np.zeros_like(model.b3),
-    }
+def _stack(model: ForecastModel, examples: Sequence[TrainingExample]):
+    """Scaled histories (n x 2H), futures (n x T x 2) and, under fusion, the
+    examples' bank indices as one StyleIndex of int arrays (else None)."""
+    n = len(examples)
+    history = np.array([ex.history for ex in examples], dtype=float).reshape(n, 2 * model.H)
+    future = np.array([ex.future for ex in examples], dtype=float).reshape(n, model.T, 2)
+    index = None
+    if model.fusion != "none":
+        zkc = np.array([(ex.index.z, ex.index.k, ex.index.c) for ex in examples], dtype=int)
+        index = StyleIndex(*zkc.reshape(n, 3).T)
+    return model.input_scale * history, future, index
 
 
-def _backward(model, x, h, d, style_vec, grad_traj_flat, grad_logits, grads):
-    """Accumulate parameter gradients; returns the style-vector gradient."""
-    grads["W2"] += grad_traj_flat[:, :, None] * d[None, None, :]
-    grads["b2"] += grad_traj_flat
-    grads["W3"] += np.outer(grad_logits, d)
-    grads["b3"] += grad_logits
-    g_d = np.einsum("mo,moh->h", grad_traj_flat, model.W2) + model.W3.T @ grad_logits
-    g_style = np.zeros(model.D)
-    if model.fusion == "late":
-        grads["P"] += np.outer(g_d, style_vec)
-        g_style += model.P.T @ g_d
-    g_u = g_d * (1.0 - h * h)
-    if model.fusion == "early":
-        grads["P"] += np.outer(g_u, style_vec)
-        g_style += model.P.T @ g_u
-    grads["W1"] += np.outer(g_u, x)
-    grads["b1"] += g_u
-    return g_style
+def _style(model: ForecastModel, bank, index, n: int) -> np.ndarray:
+    """n x D conditioning vectors: the bank's, or zeros without fusion."""
+    return np.zeros((n, model.D)) if index is None else lookup(bank, index)[0]
 
 
 def train(
@@ -248,74 +241,51 @@ def train(
 ):
     """Mini-batch gradient descent with a fixed step and seeded shuffling.
 
-    Mutates and returns (model, bank); bank factor rows receive gradients
-    through the lookup when fusion is enabled. Returns the per-epoch mean
-    training loss as the third element.
+    Each step descends the mean WTA loss of one batch. Mutates and returns
+    (model, bank); bank factor rows receive gradients through the lookup when
+    fusion is enabled. Returns the per-epoch mean training loss as the third
+    element.
     """
     if model.fusion != "none" and bank is None:
         raise ForecastError(f"fusion={model.fusion!r} requires an embedding bank")
     rng = np.random.default_rng(seed)
     n = len(examples)
+    x_all, future_all, index_all = _stack(model, examples)
     losses = []
     for _epoch in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, BATCH_SIZE):
             batch = order[start : start + BATCH_SIZE]
-            grads = _zero_grads(model)
-            bank_acc = {}
-            for idx in batch:
-                ex = examples[idx]
-                if model.fusion == "none":
-                    style_vec = np.zeros(model.D)
-                else:
-                    style_vec, _ = lookup(bank, ex.index)
-                x, h, d, traj, logits = _forward(model, ex.history, style_vec)
-                fc = Forecast(modes=traj.reshape(model.M, model.T, 2), probs=_softmax(logits))
-                loss, g_modes, g_logits, _best = wta_loss(fc, ex.future)
-                epoch_loss += loss
-                g_style = _backward(
-                    model, x, h, d, style_vec, g_modes.reshape(model.M, -1), g_logits, grads
-                )
-                if model.fusion != "none":
-                    g_ek, g_ec = bank_gradients(bank, ex.index, g_style)
-                    key = (ex.index.z, ex.index.k, ex.index.c)
-                    if key not in bank_acc:
-                        bank_acc[key] = [np.zeros(model.D), np.zeros(model.D)]
-                    bank_acc[key][0] += g_ek
-                    bank_acc[key][1] += g_ec
+            index = None if index_all is None else StyleIndex(
+                index_all.z[batch], index_all.k[batch], index_all.c[batch])
+            x, style = x_all[batch], _style(model, bank, index, len(batch))
+            h, d, fc = _forward(model, x, style)
+            loss, g_modes, g_logits, _best = wta_loss(fc, future_all[batch])
+            epoch_loss += loss.sum()
+            # backward: g_fused is the gradient at the layer the style enters
+            g_traj = g_modes.reshape(len(batch), -1)
+            g_d = g_traj @ model.W2.reshape(-1, model.hidden) + g_logits @ model.W3
+            g_u = g_d * (1.0 - h * h)
+            g_fused = g_u if model.fusion == "early" else g_d
+            grads = {
+                "W1": g_u.T @ x, "b1": g_u.sum(axis=0), "P": g_fused.T @ style,
+                "W2": (g_traj.T @ d).reshape(model.W2.shape),
+                "b2": g_traj.sum(axis=0).reshape(model.b2.shape),
+                "W3": g_logits.T @ d, "b3": g_logits.sum(axis=0),
+            }
             scale = lr / len(batch)
-            model.W1 -= scale * grads["W1"]
-            model.b1 -= scale * grads["b1"]
-            model.P -= scale * grads["P"]
-            model.W2 -= scale * grads["W2"]
-            model.b2 -= scale * grads["b2"]
-            model.W3 -= scale * grads["W3"]
-            model.b3 -= scale * grads["b3"]
-            for (z, k, c), (g_ek, g_ec) in sorted(bank_acc.items()):
-                bank.e_k[z][k] -= scale * g_ek
-                bank.e_c[z][c] -= scale * g_ec
+            if index is not None:
+                g_ek, g_ec = bank_gradients(bank, index, g_fused @ model.P)
+                for table, row, g in ((bank.e_k, index.k, g_ek), (bank.e_c, index.c, g_ec)):
+                    acc = np.zeros_like(table)
+                    np.add.at(acc, (index.z, row), g)
+                    table -= scale * acc
+            for name, g in grads.items():
+                param = getattr(model, name)
+                param -= scale * g
         losses.append(epoch_loss / max(n, 1))
     return model, bank, losses
-
-
-def _scene_metrics(model, bank, ex: TrainingExample, miss_threshold: float):
-    if model.fusion == "none":
-        style_vec = None
-    else:
-        style_vec, _ = lookup(bank, ex.index)
-    fc = predict(model, ex.history, style_vec)
-    disp = np.linalg.norm(fc.modes - ex.future[None], axis=2)  # M x T
-    ade = disp.mean(axis=1)
-    fde = disp[:, -1]
-    best = int(np.argmin(fde))
-    min_fde = float(fde[best])
-    return {
-        "minADE": float(ade.min()),
-        "minFDE": min_fde,
-        "miss": float(min_fde > miss_threshold),
-        "brierFDE": min_fde + (1.0 - float(fc.probs[best])) ** 2,
-    }
 
 
 def evaluate(
@@ -329,28 +299,30 @@ def evaluate(
         raise ForecastError("cannot evaluate an empty dataset")
     if model.fusion != "none" and bank is None:
         raise ForecastError(f"fusion={model.fusion!r} requires an embedding bank")
-    per_scene = [_scene_metrics(model, bank, ex, miss_threshold) for ex in examples]
+    x, future, index = _stack(model, examples)
+    fc = _forward(model, x, _style(model, bank, index, len(examples)))[2]
+    disp = np.linalg.norm(fc.modes - future[:, None], axis=3)  # n x M x T
+    fde = disp[:, :, -1]
+    best = np.argmin(fde, axis=1)
+    rows_n = np.arange(len(examples))
+    min_fde = fde[rows_n, best]
+    per_scene = {
+        "brierFDE": min_fde + (1.0 - fc.probs[rows_n, best]) ** 2,
+        "minADE": disp.mean(axis=2).min(axis=1),
+        "minFDE": min_fde,
+        "MissRate": (min_fde > miss_threshold).astype(float),
+    }
+    styles = np.array([ex.style for ex in examples], dtype=object)
 
-    def row(style: str, idxs) -> MetricsRow:
-        sub = [per_scene[i] for i in idxs]
-        return MetricsRow(
-            style=style,
-            brierFDE=float(np.mean([s["brierFDE"] for s in sub])),
-            minADE=float(np.mean([s["minADE"] for s in sub])),
-            minFDE=float(np.mean([s["minFDE"] for s in sub])),
-            MissRate=float(np.mean([s["miss"] for s in sub])),
-            n=len(sub),
-        )
+    def row(style: str, mask) -> MetricsRow:
+        return MetricsRow(style=style, n=int(mask.sum()),
+                          **{k: float(v[mask].mean()) for k, v in per_scene.items()})
 
-    rows = []
     ordered_styles = [c.label for c in StyleClass]
-    seen = {ex.style for ex in examples if ex.style is not None}
+    seen = {s for s in styles if s is not None}
     # keep ordinal order for known styles, then any other labels lexically
     labels = [s for s in ordered_styles if s in seen]
     labels += sorted(s for s in seen if s not in ordered_styles)
-    for style in labels:
-        idxs = [i for i, ex in enumerate(examples) if ex.style == style]
-        if idxs:
-            rows.append(row(style, idxs))
-    rows.append(row("Overall", list(range(len(examples)))))
+    rows = [row(style, styles == style) for style in labels]
+    rows.append(row("Overall", np.ones(len(examples), dtype=bool)))
     return rows

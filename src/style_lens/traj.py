@@ -11,6 +11,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 VALID_SPLITS = ("train", "val", "test")
+# meta-CSV highway spellings; a missing column or empty cell means unknown
+_CSV_HIGHWAY = {None: None, "": None, "true": True, "True": True, "1": True,
+                "false": False, "False": False, "0": False}
 
 
 class TrajectoryError(ValueError):
@@ -227,14 +230,16 @@ def _load_csv(path) -> list:
     scenes = []
     for sid in scene_ids:
         lineno, m = meta.get(sid, (None, {}))
-        highway = None if m.get("highway") in ("", None) else m["highway"] in ("true", "True", "1")
         try:
+            if m.get("highway") not in _CSV_HIGHWAY:
+                raise TrajectoryError("highway must be empty, true/True/1 or false/False/0, "
+                                      f"got {m['highway']!r}")
             scenes.append(Scene(
                 scene_id=sid,
                 focal_agent_id=m.get("focal_agent_id", per_scene[sid][0].agent_id),
                 agents=tuple(per_scene[sid]),
                 split=m.get("split", "train"),
-                highway=highway,
+                highway=_CSV_HIGHWAY[m.get("highway")],
                 mdsi_label=m.get("mdsi_label") or None,
             ))
         except TrajectoryError as exc:  # only meta values can make a scene invalid

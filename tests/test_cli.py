@@ -146,3 +146,33 @@ def test_eval_conditions_on_the_trained_style_rows(workspace):
                                       .replace(",timid", ",reckless"))
     with pytest.raises(SystemExit, match=r"scene '.*': style 'reckless'"):
         evaluate("timid.jsonl", "odd_labels.csv", "bad.csv")
+
+
+@pytest.mark.parametrize("text,error", [
+    ("scene_id,style\ns0,timid\n", "line 2: no 'label' column"),
+    ("scene_id,label\ns0,timid\ns1\n", "line 3: wrong number of fields"),
+])
+def test_train_embed_label_errors_name_the_line(workspace, text, error):
+    (workspace / "styles.csv").write_text(text)
+    with pytest.raises(SystemExit, match=rf"styles\.csv, {error}"):
+        main(["train-embed", "--in", str(workspace / "yellow.jsonl"),
+              "--labels", str(workspace / "styles.csv"), "--epochs", "1",
+              "--model", str(workspace / "fc.json")])
+
+
+def test_kdsc_features_errors_name_the_line(workspace):
+    main(["features", "--in", str(workspace / "cruise.jsonl"),
+          "--out", str(workspace / "features.csv")])
+    lines = (workspace / "features.csv").read_text().splitlines()
+
+    def kdsc(text):
+        (workspace / "bad.csv").write_text(text)
+        main(["kdsc", "--features", str(workspace / "bad.csv"),
+              "--out", str(workspace / "model.json")])
+
+    with pytest.raises(SystemExit, match=r"bad\.csv, line 2: no 'agent_id' column"):
+        kdsc("scene_id,style\ns0,timid\n")
+    row = lines[3].split(",")
+    row[2] = "fast"
+    with pytest.raises(SystemExit, match=r"bad\.csv, line 4: could not convert"):
+        kdsc("\n".join(lines[:3] + [",".join(row)]) + "\n")

@@ -10,11 +10,12 @@ from style_lens import (
     evaluate,
     examples_from_scenes,
     gen_yellow_light,
+    lookup,
     predict,
     train,
     wta_loss,
 )
-from style_lens.forecast import ForecastError, _softmax
+from style_lens.forecast import BATCH_SIZE, ForecastError, _softmax
 
 from conftest import make_scene, make_traj
 
@@ -220,6 +221,98 @@ class TestTraining:
         assert back.input_scale == model.input_scale
         for name in ("W1", "b1", "P", "W2", "b2", "W3", "b3"):
             np.testing.assert_array_equal(getattr(back, name), getattr(model, name))
+
+
+def random_batch(fusion, n, seed):
+    """A small model, a bank (None without fusion) and n examples whose bank
+    indices repeat, so several examples share factor rows."""
+    rng = np.random.default_rng(seed)
+    model = ForecastModel.init(H=3, T=2, M=2, hidden=4, D=3, fusion=fusion, seed=seed)
+    bank = None if fusion == "none" else EmbeddingBank.init(num_styles=2, K=2, D=3, seed=seed)
+    if bank is not None:  # unit-scale style vectors, so style gradients are not tiny
+        bank.e_k *= 10.0
+        bank.e_c *= 10.0
+    examples = [  # meter-scale histories drive tanh out of its linear range
+        TrainingExample(history=5.0 * rng.normal(size=(3, 2)), future=rng.normal(size=(2, 2)),
+                        index=StyleIndex(*(int(v) for v in rng.integers(2, size=3))),
+                        style=("timid", "custom", "aggressive")[i % 3])
+        for i in range(n)
+    ]
+    return model, bank, examples
+
+
+PARAMS = ("W1", "b1", "P", "W2", "b2", "W3", "b3")
+
+
+class TestBatchedTraining:
+    @pytest.mark.parametrize("fusion", ["none", "early", "late"])
+    def test_one_step_descends_mean_loss_gradient(self, fusion):
+        """One batch step moves every parameter and bank row by -lr times the
+        central-difference gradient of the batch's mean WTA loss."""
+        model, bank, examples = random_batch(fusion, 9, seed=40)
+        assert len(examples) <= BATCH_SIZE
+        lr, step = 0.1, 1e-5
+
+        def mean_loss():
+            total = 0.0
+            for ex in examples:
+                style = np.zeros(model.D) if bank is None else lookup(bank, ex.index)[0]
+                modes, probs = forward_oracle(model, ex.history, style)
+                total += wta_loss(Forecast(modes=modes, probs=probs), ex.future)[0]
+            return total / len(examples)
+
+        def central_differences(arr):
+            flat, grad = arr.reshape(-1), np.empty(arr.size)
+            for i in range(arr.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                up = mean_loss()
+                flat[i] = orig - step
+                dn = mean_loss()
+                flat[i] = orig
+                grad[i] = (up - dn) / (2 * step)
+            return grad.reshape(arr.shape)
+
+        targets = [(model, name) for name in PARAMS]
+        if bank is not None:
+            targets += [(bank, "e_k"), (bank, "e_c")]
+        before = {name: getattr(obj, name).copy() for obj, name in targets}
+        fd = {name: central_differences(getattr(obj, name)) for obj, name in targets}
+        train(examples, model, bank, epochs=1, lr=lr, seed=0)
+        for obj, name in targets:
+            step_grad = (before[name] - getattr(obj, name)) / lr
+            np.testing.assert_allclose(step_grad, fd[name], rtol=1e-4, atol=1e-8, err_msg=name)
+
+
+def scene_metrics_reference(model, bank, ex, miss_threshold):
+    """Per-example metrics, one predict() per example."""
+    style_vec = None if model.fusion == "none" else lookup(bank, ex.index)[0]
+    fc = predict(model, ex.history, style_vec)
+    disp = np.linalg.norm(fc.modes - ex.future[None], axis=2)  # M x T
+    fde = disp[:, -1]
+    best = int(np.argmin(fde))
+    min_fde = float(fde[best])
+    return {
+        "minADE": float(disp.mean(axis=1).min()),
+        "minFDE": min_fde,
+        "MissRate": float(min_fde > miss_threshold),
+        "brierFDE": min_fde + (1.0 - float(fc.probs[best])) ** 2,
+    }
+
+
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("fusion", ["none", "early", "late"])
+    def test_matches_per_example_reference(self, fusion):
+        model, bank, examples = random_batch(fusion, 50, seed=41)
+        per_scene = [scene_metrics_reference(model, bank, ex, 1.5) for ex in examples]
+        rows = evaluate(examples, model, bank, miss_threshold=1.5)
+        assert [r.style for r in rows] == ["aggressive", "timid", "custom", "Overall"]
+        for r in rows:
+            sub = [m for m, ex in zip(per_scene, examples) if r.style in ("Overall", ex.style)]
+            assert r.n == len(sub)
+            for metric in ("brierFDE", "minADE", "minFDE", "MissRate"):
+                want = np.mean([m[metric] for m in sub])
+                assert getattr(r, metric) == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestExamplesFromScenes:

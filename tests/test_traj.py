@@ -155,6 +155,8 @@ BAD_INPUTS = {
                        "scenes.csv.meta.csv, line 2", "split"),
     "meta-unknown-focal": (_csv(FOUR_ROWS, "scene_id,focal_agent_id\ns0,ghost\n"),
                            "scenes.csv.meta.csv, line 2", "ghost"),
+    "meta-highway-yes": (_csv(FOUR_ROWS, "scene_id,highway\ns0,yes\n"),
+                         "scenes.csv.meta.csv, line 2", "highway"),
 }
 
 
