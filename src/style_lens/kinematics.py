@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +37,6 @@ class KinematicFeatures:
 
     def as_array(self, names=FEATURE_NAMES) -> np.ndarray:
         return np.array([getattr(self, n) for n in names], dtype=float)
-
-    @classmethod
-    def field_names(cls):
-        return tuple(f.name for f in fields(cls))
 
 
 def gamma(speed, dt: float) -> float:

@@ -62,6 +62,11 @@ class TdbmConfig:
     smooth_window: float = 2.0      # s, moving-average window for path smoothing
     resample_dt: float = 0.1        # s, used only when input sampling is non-uniform
 
+    def __post_init__(self):
+        for name in ("v_ref", "d_ref", "w_ref", "j_ref"):  # divisors of the features
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, not {getattr(self, name)}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -112,27 +117,37 @@ def _headings(focal: TrajectorySample, dt: float) -> np.ndarray:
         return np.asarray(focal.heading, dtype=float)
     vel = central_diff(focal.positions, dt)
     h = np.arctan2(vel[:, 1], vel[:, 0])
-    # hold the previous heading through near-zero-speed samples
-    speed = np.hypot(vel[:, 0], vel[:, 1])
-    for i in range(1, len(h)):
-        if speed[i] < 1e-6:
-            h[i] = h[i - 1]
-    return h
+    # near-zero-speed samples hold the last moving heading; sample 0 keeps its own
+    moving = ~(np.hypot(vel[:, 0], vel[:, 1]) < 1e-6)
+    return h[np.maximum.accumulate(np.where(moving, np.arange(len(h)), 0))]
 
 
 def _smooth_path(positions: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with shrinking windows near the ends."""
-    n = len(positions)
-    half = window // 2
-    out = np.empty_like(positions)
-    for i in range(n):
-        lo, hi = max(0, i - half), min(n, i + half + 1)
-        out[i] = positions[lo:hi].mean(axis=0)
-    return out
+    """Centered moving average with shrinking windows near the ends; the zero
+    rows that pad the ends add nothing to a window's sum (x + 0.0 == x)."""
+    n, half = len(positions), window // 2
+    padded = np.concatenate([np.zeros((half, 2)), positions, np.zeros((half, 2))])
+    total = padded[:n].copy()
+    for k in range(1, window):
+        total += padded[k:k + n]
+    i = np.arange(n)
+    return total / (np.minimum(i + half + 1, n) - np.maximum(i - half, 0))[:, None]
 
 
 def build_tdbm_features(scene: Scene, config: TdbmConfig = TdbmConfig()) -> TdbmFeatureVector:
-    """Construct the five normalized kinematic features for the focal agent."""
+    """Construct the five normalized kinematic features for the focal agent.
+
+    Neighbor tracks are interpolated onto the focal time grid and stacked
+    into (neighbor, time) arrays; distances, the leading cone and the range
+    test run over those arrays at once. Two rules keep every field equal,
+    bit for bit, to a loop over samples that calls ``np.mean``:
+
+    - in-range neighbor speeds are summed one neighbor row at a time, as
+      ``np.mean`` sums up to 7 values; at samples with 8 or more neighbors
+      in range numpy sums pairwise, so those samples call ``np.mean``;
+    - each smoothing window is summed row by row, never as a difference of
+      cumsums, which would change the last bits of ``s_center``.
+    """
     focal = _uniformize(scene.focal, config.resample_dt)
     if len(focal) < 4:
         raise TrajectoryError(
@@ -144,44 +159,32 @@ def build_tdbm_features(scene: Scene, config: TdbmConfig = TdbmConfig()) -> Tdbm
     speed, _, jerk = derivatives(focal)
 
     # align neighbors onto the focal grid; absent outside their own span
-    nbr_pos = []
-    nbr_speed = []
-    nbr_valid = []
-    for nbr in scene.neighbors:
-        if len(nbr) < 2:
-            continue
-        px = np.interp(t, nbr.timestamps, nbr.positions[:, 0])
-        py = np.interp(t, nbr.timestamps, nbr.positions[:, 1])
-        pos = np.column_stack([px, py])
-        nbr_pos.append(pos)
-        nbr_speed.append(np.hypot(*central_diff(pos, dt).T))
-        nbr_valid.append((t >= nbr.timestamps[0] - 1e-9) & (t <= nbr.timestamps[-1] + 1e-9))
+    tracks = [nbr for nbr in scene.neighbors if len(nbr) >= 2]
+    nbr_pos = np.empty((len(tracks), n, 2))
+    valid = np.empty((len(tracks), n), dtype=bool)
+    for k, nbr in enumerate(tracks):
+        nbr_pos[k, :, 0] = np.interp(t, nbr.timestamps, nbr.positions[:, 0])
+        nbr_pos[k, :, 1] = np.interp(t, nbr.timestamps, nbr.positions[:, 1])
+        valid[k] = (t >= nbr.timestamps[0] - 1e-9) & (t <= nbr.timestamps[-1] + 1e-9)
+    nbr_vel = central_diff(nbr_pos.swapaxes(0, 1), dt).swapaxes(0, 1)
+    nbr_speed = np.hypot(nbr_vel[..., 0], nbr_vel[..., 1])
 
-    headings = _headings(focal, dt)
-    rel_speed_terms = np.zeros(n)
-    gap_terms = np.ones(n)
-    had_neighbors = False
-    for i in range(n):
-        in_range_speeds = []
-        best_gap = None
-        for pos, spd, valid in zip(nbr_pos, nbr_speed, nbr_valid):
-            if not valid[i]:
-                continue
-            delta = pos[i] - focal.positions[i]
-            dist = float(np.hypot(delta[0], delta[1]))
-            if dist <= config.neighbor_radius:
-                in_range_speeds.append(spd[i])
-                had_neighbors = True
-            if dist > 1e-9:
-                bearing = np.arctan2(delta[1], delta[0])
-                angle = abs((bearing - headings[i] + np.pi) % (2 * np.pi) - np.pi)
-                if angle <= config.cone_half_angle:
-                    if best_gap is None or dist < best_gap:
-                        best_gap = dist
-        if in_range_speeds:
-            rel_speed_terms[i] = (speed[i] - float(np.mean(in_range_speeds))) / config.v_ref
-        if best_gap is not None:
-            gap_terms[i] = min(max(best_gap / config.d_ref, 0.0), 1.0)
+    delta = nbr_pos - focal.positions
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    in_range = valid & (dist <= config.neighbor_radius)
+    bearing = np.arctan2(delta[..., 1], delta[..., 0])
+    angle = np.abs((bearing - _headings(focal, dt) + np.pi) % (2 * np.pi) - np.pi)
+    cone = valid & (dist > 1e-9) & (angle <= config.cone_half_angle)
+
+    count = in_range.sum(axis=0)
+    total = sum((np.where(r, v, 0.0) for r, v in zip(in_range, nbr_speed)), np.zeros(n))
+    mean_speed = total / np.maximum(count, 1)
+    for i in np.flatnonzero(count >= 8):
+        mean_speed[i] = np.mean(nbr_speed[in_range[:, i], i])
+    rel_speed_terms = np.where(count > 0, (speed - mean_speed) / config.v_ref, 0.0)
+    best_gap = np.where(cone, dist, np.inf).min(axis=0, initial=np.inf)
+    gap_terms = np.clip(best_gap / config.d_ref, 0.0, 1.0)  # no leading neighbor: inf -> 1
+    had_neighbors = bool(in_range.any())
 
     window = max(1, int(round(config.smooth_window / dt)))
     if window % 2 == 0:

@@ -191,12 +191,12 @@ def _load_csv(path) -> list:
     order = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        for lineno, rec in enumerate(reader, start=2):
+        for rec in reader:  # reader.line_num is the physical line, blank lines included
             try:
                 sid, aid = rec["scene_id"], rec["agent_id"]
                 t, x, y = float(rec["t"]), float(rec["x"]), float(rec["y"])
             except (KeyError, TypeError, ValueError) as exc:
-                raise TrajectoryError(f"{path}, line {lineno}: {exc}") from exc
+                raise TrajectoryError(f"{path}, line {reader.line_num}: {exc}") from exc
             key = (sid, aid)
             if key not in rows:
                 order.append(key)
@@ -206,10 +206,11 @@ def _load_csv(path) -> list:
     mp = str(path) + ".meta.csv"
     try:
         with open(mp, "r", encoding="utf-8", newline="") as fh:
-            for lineno, rec in enumerate(csv.DictReader(fh), start=2):
+            reader = csv.DictReader(fh)
+            for rec in reader:
                 if "scene_id" not in rec:
-                    raise TrajectoryError(f"{mp}, line {lineno}: no scene_id column")
-                meta[rec["scene_id"]] = (lineno, rec)
+                    raise TrajectoryError(f"{mp}, line {reader.line_num}: no scene_id column")
+                meta[rec["scene_id"]] = (reader.line_num, rec)
     except FileNotFoundError:
         pass
 

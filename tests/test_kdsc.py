@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from style_lens import DEFAULT_SUBSET, ClusterModel, assign, fit_kdsc, label_clusters
+from style_lens import DEFAULT_SUBSET, FEATURE_NAMES, ClusterModel, assign, fit_kdsc, label_clusters
 from style_lens.kdsc import ClusteringError, cut_partition, ward_linkage
 from style_lens.kinematics import KinematicFeatures
 
 
 def feat(**kw):
-    vals = {n: 0.0 for n in KinematicFeatures.field_names()}
+    vals = {n: 0.0 for n in FEATURE_NAMES}
     vals.update(kw)
     return KinematicFeatures(**vals)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,7 @@ class TestExtractFeatures:
     def test_as_array_order_matches_names(self):
         f = KinematicFeatures(*range(9))
         np.testing.assert_array_equal(f.as_array(), np.arange(9.0))
-        assert KinematicFeatures.field_names() == FEATURE_NAMES
+        assert tuple(f.name for f in dataclasses.fields(KinematicFeatures)) == FEATURE_NAMES
 
 
 class TestGamma:

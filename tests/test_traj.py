@@ -157,6 +157,11 @@ BAD_INPUTS = {
                            "scenes.csv.meta.csv, line 2", "ghost"),
     "meta-highway-yes": (_csv(FOUR_ROWS, "scene_id,highway\ns0,yes\n"),
                          "scenes.csv.meta.csv, line 2", "highway"),
+    # csv.DictReader skips blank lines; the error names the physical line
+    "csv-bad-t-after-blank-line": (_csv("s0,f,0.0,0.0,0.0\n\ns0,f,zero,1.0,0.0\n"),
+                                   "scenes.csv, line 4", "zero"),
+    "meta-bad-split-after-blank-line": (_csv(FOUR_ROWS, "scene_id,split\ns1,train\n\ns0,dev\n"),
+                                        "scenes.csv.meta.csv, line 4", "split"),
 }
 
 
