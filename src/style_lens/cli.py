@@ -7,7 +7,6 @@ All outputs are byte-identical across runs given identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from .embed import EmbeddingBank, StyleIndex, context_classify
@@ -15,44 +14,44 @@ from .forecast import ForecastModel, evaluate, examples_from_scenes, train
 from .kdsc import DEFAULT_SUBSET, ClusterModel, assign, fit_kdsc, label_clusters
 from .kinematics import FEATURE_NAMES, KinematicFeatures
 from .report import classify_scenes_tdbm, run_report, scene_features
-from .synth import gen_cruise, gen_yellow_light
+from .synth import DEFAULT_PARAMS, gen_cruise, gen_yellow_light
 from .tdbm import STYLE_LABELS, TdbmConfig, build_tdbm_features, tdbm_classify, tdbm_score
-from .traj import load_scenes, save_scenes
+from .traj import TrajectoryError, load_scenes, read_csv, save_scenes, write_csv
 
 
 def _parse_mix(text):
+    """`style=fraction,...` of `synth --mix`; a bad part exits naming it."""
     mix = {}
     for part in text.split(","):
-        name, _, frac = part.partition("=")
-        mix[name.strip()] = float(frac)
+        name, eq, frac = part.partition("=")
+        name = name.strip()
+        try:
+            if not eq:
+                raise ValueError("expected style=fraction")
+            if name not in DEFAULT_PARAMS:
+                raise ValueError(f"unknown style {name!r}")
+            if name in mix:
+                raise ValueError(f"style {name!r} given twice")
+            mix[name] = float(frac)
+        except ValueError as exc:
+            raise SystemExit(f"--mix part {part!r}: {exc}; the styles are "
+                             + ", ".join(DEFAULT_PARAMS)) from exc
     return mix
 
 
+def _load_json(load, path):
+    """load(path) of a JSON input file; bad JSON, or a missing, unknown or bad
+    key, exits with `<path>: <reason>` (a missing file exits in main)."""
+    try:
+        return load(path)
+    except KeyError as exc:
+        raise SystemExit(f"{path}: no {exc.args[0]!r} key") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SystemExit(f"{path}: {exc}") from exc
+
+
 def _tdbm_config(path):
-    return TdbmConfig.load(path) if path else TdbmConfig()
-
-
-def _read_csv(path, parse):
-    """parse(record) of each data row; a missing column, a short or long row
-    or a bad value exits naming the file and line."""
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            where = f"{path}, line {reader.line_num}"
-            try:
-                if None in rec or None in rec.values():  # csv's marks of a short or long row
-                    raise ValueError("wrong number of fields")
-                out.append(parse(rec))
-            except KeyError as exc:
-                raise SystemExit(f"{where}: no {exc.args[0]!r} column") from exc
-            except (TypeError, ValueError) as exc:
-                raise SystemExit(f"{where}: {exc}") from exc
-    return out
-
-
-def _load_label_map(path):
-    return dict(_read_csv(path, lambda rec: (rec["scene_id"], rec["label"])))
+    return _load_json(TdbmConfig.load, path) if path else TdbmConfig()
 
 
 def cmd_synth(args):
@@ -61,67 +60,55 @@ def cmd_synth(args):
     pairs = gen(args.n, mix=mix, seed=args.seed)
     save_scenes([scene for scene, _ in pairs], args.out)
     if args.labels:
-        with open(args.labels, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("scene_id,label\n")
-            for scene, label in pairs:
-                fh.write(f"{scene.scene_id},{label}\n")
+        write_csv(args.labels, ["scene_id", "label"],
+                  [(scene.scene_id, label) for scene, label in pairs])
     print(f"wrote {len(pairs)} scenes to {args.out}")
 
 
 def cmd_features(args):
     scenes = load_scenes(args.infile, args.format)
     config = _tdbm_config(args.config)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("scene_id,agent_id," + ",".join(FEATURE_NAMES) + "\n")
-        for scene in scenes:
-            f = scene_features(scene, config)
-            vals = ",".join(repr(getattr(f, n)) for n in FEATURE_NAMES)
-            fh.write(f"{scene.scene_id},{scene.focal_agent_id},{vals}\n")
+
+    def row(scene):
+        f = scene_features(scene, config)
+        return scene.scene_id, scene.focal_agent_id, *(getattr(f, n) for n in FEATURE_NAMES)
+
+    write_csv(args.out, ["scene_id", "agent_id", *FEATURE_NAMES], map(row, scenes))
     print(f"wrote features for {len(scenes)} scenes to {args.out}")
 
 
 def cmd_tdbm(args):
     scenes = load_scenes(args.infile, args.format)
     config = _tdbm_config(args.config)
-    score_cols = ",".join(f"score_{label}" for label in STYLE_LABELS)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "scene_id,agent_id,s_center,v_nei,s_front,v_avg,j_l,had_neighbors,"
-            + score_cols + ",class\n"
-        )
-        for scene in scenes:
-            x = build_tdbm_features(scene, config)
-            s = tdbm_score(x)
-            cls = tdbm_classify(s, x.had_neighbors)
-            fh.write(
-                f"{scene.scene_id},{scene.focal_agent_id},"
-                f"{x.s_center!r},{x.v_nei!r},{x.s_front!r},{x.v_avg!r},{x.j_l!r},"
-                f"{str(x.had_neighbors).lower()},"
-                + ",".join(repr(float(v)) for v in s.scores)
-                + f",{cls.label}\n"
-            )
+
+    def row(scene):
+        x = build_tdbm_features(scene, config)
+        s = tdbm_score(x)
+        return (scene.scene_id, scene.focal_agent_id, x.s_center, x.v_nei, x.s_front, x.v_avg,
+                x.j_l, str(x.had_neighbors).lower(), *(float(v) for v in s.scores),
+                tdbm_classify(s, x.had_neighbors).label)
+
+    columns = ["scene_id", "agent_id", "s_center", "v_nei", "s_front", "v_avg", "j_l",
+               "had_neighbors", *(f"score_{label}" for label in STYLE_LABELS), "class"]
+    write_csv(args.out, columns, map(row, scenes))
     print(f"classified {len(scenes)} scenes to {args.out}")
 
 
-def _read_features_csv(path):
-    rows = _read_csv(path, lambda rec: ((rec["scene_id"], rec["agent_id"]), KinematicFeatures(
-        **{n: float(rec[n]) for n in FEATURE_NAMES})))
-    return [ids for ids, _ in rows], [f for _, f in rows]
-
-
 def cmd_kdsc(args):
-    ids, feats = _read_features_csv(args.features)
+    rows = read_csv(args.features, lambda rec: (
+        (rec["scene_id"], rec["agent_id"]),
+        KinematicFeatures(**{n: float(rec[n]) for n in FEATURE_NAMES})))
+    ids, feats = [key for key, _ in rows], [f for _, f in rows]
     subset = tuple(args.subset.split(",")) if args.subset else DEFAULT_SUBSET
     model = fit_kdsc(feats, k=args.k, feature_subset=subset)
     if args.k == 2:
         model = label_clusters(model, feats)
     model.save(args.out)
     if args.assignments:
-        with open(args.assignments, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("scene_id,agent_id,cluster,label\n")
-            for (sid, aid), f in zip(ids, feats):
-                cid = assign(model, f)
-                fh.write(f"{sid},{aid},{cid},{model.labels.get(cid, '')}\n")
+        clusters = [assign(model, f) for f in feats]
+        write_csv(args.assignments, ["scene_id", "agent_id", "cluster", "label"],
+                  [(sid, aid, cid, model.labels.get(cid, ""))
+                   for (sid, aid), cid in zip(ids, clusters)])
     print(f"fitted k={args.k} model on {len(feats)} points, saved to {args.out}")
 
 
@@ -130,7 +117,7 @@ def _scene_styles(scenes, args):
     ground-truth labels of --labels when given, else the TDBM classes."""
     if not args.labels:
         return classify_scenes_tdbm(scenes, _tdbm_config(args.tdbm_config)), STYLE_LABELS
-    label_map = _load_label_map(args.labels)
+    label_map = dict(read_csv(args.labels, lambda rec: (rec["scene_id"], rec["label"])))
     for scene in scenes:
         if scene.scene_id not in label_map:
             raise SystemExit(f"{args.labels}: no label for scene {scene.scene_id!r}")
@@ -174,8 +161,8 @@ def cmd_train_embed(args):
 
 def cmd_eval(args):
     scenes = load_scenes(args.infile, args.format)
-    model = ForecastModel.load(args.model)
-    bank = EmbeddingBank.load(args.bank) if args.bank else None
+    model = _load_json(ForecastModel.load, args.model)
+    bank = _load_json(EmbeddingBank.load, args.bank) if args.bank else None
     styles, names = _scene_styles(scenes, args)
     if bank is not None:  # the bank's rows are indexed by the styles it was trained on
         names = bank.style_names
@@ -184,19 +171,15 @@ def cmd_eval(args):
     if skipped:
         print(f"skipped {skipped} scenes shorter than H+T", file=sys.stderr)
     rows = evaluate(examples, model, bank, miss_threshold=args.miss_threshold)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("style,model,brierFDE,minADE,minFDE,MissRate,n\n")
-        for r in rows:
-            fh.write(
-                f"{r.style},{model.fusion},{r.brierFDE!r},{r.minADE!r},"
-                f"{r.minFDE!r},{r.MissRate!r},{r.n}\n"
-            )
+    write_csv(args.out, ["style", "model", "brierFDE", "minADE", "minFDE", "MissRate", "n"],
+              [(r.style, model.fusion, r.brierFDE, r.minADE, r.minFDE, r.MissRate, r.n)
+               for r in rows])
     print(f"wrote metrics for {len(examples)} scenes to {args.out}")
 
 
 def cmd_report(args):
     scenes = load_scenes(args.infile, args.format)
-    kdsc_model = ClusterModel.load(args.kdsc_model) if args.kdsc_model else None
+    kdsc_model = _load_json(ClusterModel.load, args.kdsc_model) if args.kdsc_model else None
     written = run_report(scenes, args.out_dir, _tdbm_config(args.tdbm_config), kdsc_model,
                          n_min=args.n_min, svg=args.svg)
     for path in written:
@@ -285,8 +268,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; bad input exits naming its file and line, not a traceback.
+    A file that cannot be opened exits with the system's message, which names it."""
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (TrajectoryError, OSError) as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .embed import EmbeddingBank, StyleIndex, bank_gradients, lookup
-from .tdbm import StyleClass
+from .tdbm import style_order
 
 FUSION_MODES = ("none", "early", "late")
 DEFAULT_MISS_THRESHOLD = 2.0  # m, final-displacement miss cutoff
@@ -318,11 +318,5 @@ def evaluate(
         return MetricsRow(style=style, n=int(mask.sum()),
                           **{k: float(v[mask].mean()) for k, v in per_scene.items()})
 
-    ordered_styles = [c.label for c in StyleClass]
-    seen = {s for s in styles if s is not None}
-    # keep ordinal order for known styles, then any other labels lexically
-    labels = [s for s in ordered_styles if s in seen]
-    labels += sorted(s for s in seen if s not in ordered_styles)
-    rows = [row(style, styles == style) for style in labels]
-    rows.append(row("Overall", np.ones(len(examples), dtype=bool)))
-    return rows
+    rows = [row(style, styles == style) for style in style_order(set(styles) - {None})]
+    return rows + [row("Overall", np.ones(len(examples), dtype=bool))]

@@ -19,11 +19,16 @@ from .tdbm import (
     TdbmConfig,
     _uniformize,
     build_tdbm_features,
+    style_order,
     tdbm_classify,
     tdbm_score,
 )
+from .traj import write_csv
 
 GAMMA_DEFINITION_TAG = "rms-jerk-of-speed/v_peak"  # echoed in every header
+# mean-speed histogram bins of cluster_speed_distribution, m/s; echoed in its header
+SPEED_BIN_WIDTH = 0.5
+SPEED_RANGE = (0.0, 40.0)
 
 
 class ReportError(ValueError):
@@ -77,10 +82,8 @@ def kinematics_by_style(features: Sequence[KinematicFeatures], styles: Sequence[
     by_style = {}
     for f, style in zip(features, styles):
         by_style.setdefault(style, []).append(f)
-    order = [s for s in STYLE_LABELS if s in by_style]
-    order += sorted(s for s in by_style if s not in STYLE_LABELS)
     rows, omitted = [], []
-    for style in order:
+    for style in style_order(by_style):
         feats = by_style[style]
         if len(feats) < n_min:
             omitted.append((style, len(feats)))
@@ -128,8 +131,6 @@ def cluster_speed_distribution(
     scene_splits: Sequence[str],
     model: ClusterModel,
     splits=("train", "test"),
-    bin_width: float = 0.5,
-    speed_range=(0.0, 40.0),
 ):
     """Per-cluster mean_speed histograms by split, plus a Welch t-test
     between the two clusters' mean speeds (pooled over the given splits).
@@ -138,7 +139,7 @@ def cluster_speed_distribution(
     `KinematicFeatures` and its split name."""
     if not model.labels:
         raise ReportError("cluster model must be labeled (aggressive/normal)")
-    edges = np.arange(speed_range[0], speed_range[1] + bin_width / 2, bin_width)
+    edges = np.arange(SPEED_RANGE[0], SPEED_RANGE[1] + SPEED_BIN_WIDTH / 2, SPEED_BIN_WIDTH)
     # seed every (cluster label, split) cell so empty clusters emit zero rows
     speeds = {
         (lab, split): [] for lab in sorted(model.labels.values()) for split in splits
@@ -161,30 +162,11 @@ def cluster_speed_distribution(
     welch = None
     if len(cluster_labels) == 2 and all(len(pooled[l]) >= 2 for l in cluster_labels):
         welch = welch_t_test(pooled[cluster_labels[0]], pooled[cluster_labels[1]])
-    return {"edges": edges, "hists": hists, "welch": welch, "splits": tuple(splits)}
+    return {"edges": edges, "hists": hists, "welch": welch}
 
 
 # ---------------------------------------------------------------------------
 # CSV / SVG emission
-
-
-def _header_lines(config: TdbmConfig, extra: Optional[dict] = None):
-    cfg = dict(config.to_dict())
-    cfg["gamma_definition"] = GAMMA_DEFINITION_TAG
-    cfg["quantile_method"] = "inclusive-linear"
-    cfg["whiskers"] = "min-max"
-    if extra:
-        cfg.update(extra)
-    return [f"# {k}={cfg[k]}" for k in sorted(cfg)]
-
-
-def _write_csv(path, header_lines, columns, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
 
 
 def run_report(
@@ -202,60 +184,45 @@ def run_report(
     tdbm_config = tdbm_config or TdbmConfig()
     os.makedirs(out_dir, exist_ok=True)
     written = []
+    common = dict(tdbm_config.to_dict(), gamma_definition=GAMMA_DEFINITION_TAG,
+                  quantile_method="inclusive-linear", whiskers="min-max")
+
+    def emit(name, extra, columns, rows, draw):
+        """<name>.csv headed by a `# key=value` line per setting in `common` and
+        `extra`, and with svg <name>.svg by draw(path)."""
+        header = {**common, **extra}
+        path = os.path.join(out_dir, name + ".csv")
+        write_csv(path, columns, rows, [f"# {k}={header[k]}" for k in sorted(header)])
+        written.append(path)
+        if svg:
+            path = os.path.join(out_dir, name + ".svg")
+            draw(path)
+            written.append(path)
 
     classifications = classify_scenes_tdbm(scenes, tdbm_config)
     features = [scene_features(s, tdbm_config) for s in scenes]
 
     counts = style_histogram(classifications)
-    path = os.path.join(out_dir, "style_histogram.csv")
-    _write_csv(
-        path,
-        _header_lines(tdbm_config, {"classifier": "tdbm"}),
-        ["style", "count"],
-        [(label, counts[label]) for label in STYLE_LABELS],
-    )
-    written.append(path)
-    if svg:
-        p = os.path.join(out_dir, "style_histogram.svg")
-        svg_mod.write_bar_chart(p, list(STYLE_LABELS), [counts[l] for l in STYLE_LABELS],
-                                title="TDBM style distribution")
-        written.append(p)
+    emit("style_histogram", {"classifier": "tdbm"}, ["style", "count"],
+         [(label, counts[label]) for label in STYLE_LABELS],
+         lambda p: svg_mod.write_bar_chart(p, list(STYLE_LABELS),
+                                           [counts[l] for l in STYLE_LABELS],
+                                           title="TDBM style distribution"))
 
     rows, omitted = kinematics_by_style(features, classifications, n_min)
-    path = os.path.join(out_dir, "kinematics_boxplots.csv")
-    _write_csv(
-        path,
-        _header_lines(tdbm_config, {
-            "n_min": n_min,
-            "omitted": ";".join(f"{s}:{n}" for s, n in omitted) or "none",
-        }),
-        ["metric", "style", "min", "q1", "median", "q3", "max", "n"],
-        [(r.metric, r.style, repr(r.min), repr(r.q1), repr(r.median),
-          repr(r.q3), repr(r.max), r.n) for r in rows],
-    )
-    written.append(path)
-    if svg:
-        p = os.path.join(out_dir, "kinematics_boxplots.svg")
-        svg_mod.write_boxplots(p, rows, title="Kinematics by TDBM style")
-        written.append(p)
+    emit("kinematics_boxplots",
+         {"n_min": n_min, "omitted": ";".join(f"{s}:{n}" for s, n in omitted) or "none"},
+         ["metric", "style", "min", "q1", "median", "q3", "max", "n"],
+         [(r.metric, r.style, r.min, r.q1, r.median, r.q3, r.max, r.n) for r in rows],
+         lambda p: svg_mod.write_boxplots(p, rows, title="Kinematics by TDBM style"))
 
     if any(s.mdsi_label is not None for s in scenes):
-        matrix, row_labels, col_labels, n_unl = mdsi_tdbm_heatmap(
-            scenes, classifications
-        )
-        path = os.path.join(out_dir, "mdsi_tdbm_heatmap.csv")
-        _write_csv(
-            path,
-            _header_lines(tdbm_config, {"unlabeled_scenes": n_unl}),
-            ["mdsi_label"] + list(col_labels),
-            [[row_labels[i]] + [int(v) for v in matrix[i]] for i in range(len(row_labels))],
-        )
-        written.append(path)
-        if svg:
-            p = os.path.join(out_dir, "mdsi_tdbm_heatmap.svg")
-            svg_mod.write_heatmap(p, matrix, row_labels, col_labels,
-                                  title="MDSI vs TDBM")
-            written.append(p)
+        matrix, row_labels, col_labels, n_unl = mdsi_tdbm_heatmap(scenes, classifications)
+        emit("mdsi_tdbm_heatmap", {"unlabeled_scenes": n_unl},
+             ["mdsi_label"] + list(col_labels),
+             [[row_labels[i]] + [int(v) for v in matrix[i]] for i in range(len(row_labels))],
+             lambda p: svg_mod.write_heatmap(p, matrix, row_labels, col_labels,
+                                             title="MDSI vs TDBM"))
 
     if kdsc_model is not None and kdsc_model.labels:
         scene_splits = [s.split for s in scenes]
@@ -263,31 +230,14 @@ def run_report(
             features, scene_splits, kdsc_model, splits=tuple(sorted(set(scene_splits)))
         )
         welch = dist["welch"]
-        extra = {"bin_width": 0.5, "speed_range": "0-40"}
+        extra = {"bin_width": SPEED_BIN_WIDTH, "speed_range": "{:g}-{:g}".format(*SPEED_RANGE)}
         if welch is not None:
-            extra.update({
-                "welch_t": repr(welch.statistic),
-                "welch_df": repr(welch.df),
-                "welch_p": repr(welch.p_value),
-            })
-        path = os.path.join(out_dir, "cluster_speed_hist.csv")
-        edges = dist["edges"]
-        rows_out = []
-        for (label, split) in sorted(dist["hists"]):
-            hist = dist["hists"][(label, split)]
-            for b, count in enumerate(hist):
-                rows_out.append((label, split, repr(float(edges[b])),
-                                 repr(float(edges[b + 1])), int(count)))
-        _write_csv(
-            path,
-            _header_lines(tdbm_config, extra),
-            ["cluster", "split", "bin_lo", "bin_hi", "count"],
-            rows_out,
-        )
-        written.append(path)
-        if svg:
-            p = os.path.join(out_dir, "cluster_speed_hist.svg")
-            svg_mod.write_split_histograms(p, dist, title="Cluster mean-speed distribution")
-            written.append(p)
+            extra.update(welch_t=welch.statistic, welch_df=welch.df, welch_p=welch.p_value)
+        edges, hists = dist["edges"], dist["hists"]
+        emit("cluster_speed_hist", extra, ["cluster", "split", "bin_lo", "bin_hi", "count"],
+             [(label, split, float(edges[b]), float(edges[b + 1]), int(count))
+              for label, split in sorted(hists) for b, count in enumerate(hists[label, split])],
+             lambda p: svg_mod.write_split_histograms(p, dist,
+                                                      title="Cluster mean-speed distribution"))
 
     return written

@@ -45,6 +45,13 @@ class StyleClass(enum.IntEnum):
 STYLE_LABELS = tuple(c.label for c in StyleClass)
 
 
+def style_order(styles) -> list:
+    """The distinct style names among `styles` in report order: the TDBM
+    classes in STYLE_LABELS order, then any other names sorted."""
+    seen = set(styles)
+    return [s for s in STYLE_LABELS if s in seen] + sorted(seen.difference(STYLE_LABELS))
+
+
 @dataclass(frozen=True)
 class TdbmConfig:
     """Normalization constants and geometry for TDBM feature construction.

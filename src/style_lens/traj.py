@@ -177,7 +177,7 @@ def _load_jsonl(path) -> list:
             try:
                 rec = json.loads(line)
                 scenes.append(scene_from_record(rec))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise TrajectoryError(f"{path}, line {lineno}: {exc}") from exc
     return scenes
 
@@ -187,65 +187,75 @@ def _load_csv(path) -> list:
     metadata CSV (<path>.meta.csv) with scene_id,focal_agent_id,split,highway,mdsi_label.
 
     A bad agent track names the file and scene; a bad scene names its meta line."""
-    rows = {}
-    order = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:  # reader.line_num is the physical line, blank lines included
-            try:
-                sid, aid = rec["scene_id"], rec["agent_id"]
-                t, x, y = float(rec["t"]), float(rec["x"]), float(rec["y"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TrajectoryError(f"{path}, line {reader.line_num}: {exc}") from exc
-            key = (sid, aid)
-            if key not in rows:
-                order.append(key)
-            rows.setdefault(key, []).append((t, x, y))
+    def sample(rec):
+        key = rec["scene_id"], rec["agent_id"]
+        return key, (float(rec["t"]), float(rec["x"]), float(rec["y"]))
 
-    meta = {}   # scene_id -> (meta line number, record)
-    mp = str(path) + ".meta.csv"
-    try:
-        with open(mp, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for rec in reader:
-                if "scene_id" not in rec:
-                    raise TrajectoryError(f"{mp}, line {reader.line_num}: no scene_id column")
-                meta[rec["scene_id"]] = (reader.line_num, rec)
-    except FileNotFoundError:
-        pass
-
-    scene_ids = []
-    per_scene = {}
-    for (sid, aid) in order:
-        if sid not in per_scene:
-            per_scene[sid] = []
-            scene_ids.append(sid)
-        samples = sorted(rows[(sid, aid)])
-        arr = np.asarray(samples, dtype=float)
+    tracks = {}   # (scene_id, agent_id) -> [(t, x, y), ...], in order of first row
+    for key, txy in read_csv(path, sample):
+        tracks.setdefault(key, []).append(txy)
+    agents = {}   # scene_id -> [TrajectorySample, ...], in order of first row
+    for (sid, aid), samples in tracks.items():
+        arr = np.asarray(sorted(samples), dtype=float)
         try:
             agent = TrajectorySample(agent_id=aid, timestamps=arr[:, 0], positions=arr[:, 1:3])
         except TrajectoryError as exc:
             raise TrajectoryError(f"{path}, scene {sid!r}: {exc}") from exc
-        per_scene[sid].append(agent)
+        agents.setdefault(sid, []).append(agent)
 
-    scenes = []
-    for sid in scene_ids:
-        lineno, m = meta.get(sid, (None, {}))
-        try:
-            if m.get("highway") not in _CSV_HIGHWAY:
-                raise TrajectoryError("highway must be empty, true/True/1 or false/False/0, "
-                                      f"got {m['highway']!r}")
-            scenes.append(Scene(
-                scene_id=sid,
-                focal_agent_id=m.get("focal_agent_id", per_scene[sid][0].agent_id),
-                agents=tuple(per_scene[sid]),
-                split=m.get("split", "train"),
-                highway=_CSV_HIGHWAY[m.get("highway")],
-                mdsi_label=m.get("mdsi_label") or None,
-            ))
-        except TrajectoryError as exc:  # only meta values can make a scene invalid
-            raise TrajectoryError(f"{mp}, line {lineno}: {exc}") from exc
-    return scenes
+    def scene(meta):  # a meta row, or {"scene_id": sid} for a scene without one
+        sid = meta["scene_id"]
+        if sid not in agents:  # a meta row of a scene the agent CSV does not have
+            return None
+        if meta.get("highway") not in _CSV_HIGHWAY:
+            raise TrajectoryError("highway must be empty, true/True/1 or false/False/0, "
+                                  f"got {meta['highway']!r}")
+        return Scene(
+            scene_id=sid,
+            focal_agent_id=meta.get("focal_agent_id", agents[sid][0].agent_id),
+            agents=tuple(agents[sid]),
+            split=meta.get("split", "train"),
+            highway=_CSV_HIGHWAY[meta.get("highway")],
+            mdsi_label=meta.get("mdsi_label") or None,
+        )
+
+    try:  # built by read_csv's parse, so that a bad meta value names its line
+        described = {s.scene_id: s for s in read_csv(str(path) + ".meta.csv", scene) if s}
+    except FileNotFoundError:
+        described = {}
+    return [described.get(sid) or scene({"scene_id": sid}) for sid in agents]
+
+
+def read_csv(path, parse) -> list:
+    """parse(record) of each data row of a headed CSV file, a record being a
+    dict from column name to text. A missing column, a short or long row or a
+    bad value (parse raising KeyError, TypeError or ValueError) raises
+    TrajectoryError naming the file and the physical line."""
+    out = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for rec in reader:  # reader.line_num is the physical line, blank lines included
+            where = f"{path}, line {reader.line_num}"
+            try:
+                if None in rec or None in rec.values():  # csv's marks of a long or short row
+                    raise ValueError("wrong number of fields")
+                out.append(parse(rec))
+            except KeyError as exc:
+                raise TrajectoryError(f"{where}: no {exc.args[0]!r} column") from exc
+            except (TypeError, ValueError) as exc:
+                raise TrajectoryError(f"{where}: {exc}") from exc
+    return out
+
+
+def write_csv(path, columns, rows, header_lines=()) -> None:
+    """Write a table as UTF-8 with \\n line ends: each header line, the column
+    names, then str() of each row's values (so floats are shortest round-trip)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in header_lines:
+            fh.write(line + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) for v in row) + "\n")
 
 
 def save_scenes(scenes: Sequence[Scene], path) -> None:

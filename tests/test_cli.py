@@ -1,11 +1,14 @@
 import filecmp
 import json
 
+import numpy as np
 import pytest
 
 from style_lens.cli import main
+from style_lens.embed import EmbeddingBank
+from style_lens.forecast import ForecastModel
 from style_lens.kdsc import ClusterModel
-from style_lens.tdbm import STYLE_LABELS
+from style_lens.tdbm import STYLE_LABELS, TdbmConfig
 
 
 @pytest.fixture
@@ -176,3 +179,74 @@ def test_kdsc_features_errors_name_the_line(workspace):
     row[2] = "fast"
     with pytest.raises(SystemExit, match=r"bad\.csv, line 4: could not convert"):
         kdsc("\n".join(lines[:3] + [",".join(row)]) + "\n")
+
+
+MODEL = ForecastModel.init(H=8, T=12, M=1, hidden=4, D=4, fusion="early")
+
+
+def _json_loader_cases():
+    """One param (loader, JSON content or None for a missing file, reason) per
+    fault of each JSON input: --config, --model, --bank and --kdsc-model."""
+    valid = {
+        "config": TdbmConfig().to_dict(),
+        "model": MODEL.to_dict(),
+        "bank": EmbeddingBank.init(num_styles=2, K=1, D=4).to_dict(),
+        "kdsc": ClusterModel(feature_names=("mean_speed",), mean=np.zeros(1), std=np.ones(1),
+                             merge_history=(), k=1, centroids=np.zeros((1, 1))).to_dict(),
+    }
+    # an unknown key in place of a known one, and a needed key deleted; every
+    # TdbmConfig field has a default, so a config can leave any out and a bad
+    # value stands in
+    renamed = {"config": ("d_ref", "d_reff", "unexpected keyword argument 'd_reff'"),
+               "model": ("T", "horizon", "no 'T' key"),
+               "bank": ("styles", "rows", "no 'styles' key"),
+               "kdsc": ("feature_names", "features", "no 'feature_names' key")}
+    deleted = {"model": "W1", "bank": "D", "kdsc": "k"}
+    for loader, d in valid.items():
+        old, new, reason = renamed[loader]
+        cases = {"unknown-key": ({new if k == old else k: v for k, v in d.items()}, reason)}
+        if loader == "config":
+            cases["bad-value"] = ({"d_ref": 0.0}, "d_ref must be finite and > 0")
+        else:
+            key = deleted[loader]
+            cases["missing-key"] = ({k: v for k, v in d.items() if k != key}, f"no {key!r}")
+        cases["bad-json"] = ("{", "Expecting property name")
+        cases["missing-file"] = (None, "No such file or directory")
+        for fault, (content, reason) in cases.items():
+            yield pytest.param(loader, content, reason, id=f"{loader}-{fault}")
+
+
+@pytest.mark.parametrize("loader,content,reason", _json_loader_cases())
+def test_bad_json_input_exits_naming_the_file(workspace, loader, content, reason):
+    w = workspace
+    bad = w / f"{loader}.json"
+    if content is not None:
+        bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    MODEL.save(w / "fc.json")
+    evaluate = ["eval", "--in", str(w / "yellow.jsonl"), "--labels", str(w / "yellow_labels.csv"),
+                "--out", str(w / "m.csv")]
+    argv = {"config": ["tdbm", "--in", str(w / "cruise.jsonl"), "--config", str(bad),
+                       "--out", str(w / "t.csv")],
+            "model": evaluate + ["--model", str(bad)],
+            "bank": evaluate + ["--model", str(w / "fc.json"), "--bank", str(bad)],
+            "kdsc": ["report", "--in", str(w / "cruise.jsonl"), "--kdsc-model", str(bad),
+                     "--out-dir", str(w / "r")]}[loader]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    message = str(exit_.value)
+    assert str(bad) in message and reason in message, message
+    if content is not None:
+        assert message.startswith(f"{bad}: ")
+
+
+@pytest.mark.parametrize("mix,error", [
+    ("aggressive", "part 'aggressive': expected style=fraction"),
+    ("aggressive=x", "part 'aggressive=x': could not convert string to float: 'x'"),
+    ("fast=1.0", "part 'fast=1.0': unknown style 'fast'"),
+    ("aggressive=0.5,aggressive=0.5", "part 'aggressive=0.5': style 'aggressive' given twice"),
+])
+def test_bad_mix_exits_naming_the_part(tmp_path, mix, error):
+    with pytest.raises(SystemExit) as exit_:
+        main(["synth", "--kind", "cruise", "--n", "3", "--mix", mix,
+              "--out", str(tmp_path / "s.jsonl")])
+    assert str(exit_.value) == f"--mix {error}; the styles are aggressive, normal, timid"

@@ -1,5 +1,5 @@
 """Every module-level import and every function parameter in the package
-modules is used."""
+modules is used, and one module reads and writes CSV tables."""
 
 import ast
 import pathlib
@@ -52,3 +52,15 @@ def test_no_unused_parameters(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = [f"line {line}: {fn}({arg})" for line, fn, arg in unused_parameters(tree)]
     assert not unused, f"{path.name} has unused parameters: {unused}"
+
+
+def test_only_traj_imports_csv():
+    """traj.read_csv and traj.write_csv are the one table reader and writer."""
+    importers = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "csv" in names:
+                importers.append(path.name)
+    assert importers == ["traj.py"]

@@ -15,7 +15,7 @@ from style_lens import (
     resample_uniform,
     save_scenes,
 )
-from style_lens.traj import scene_from_record, scene_to_record
+from style_lens.traj import VALID_SPLITS, scene_from_record, scene_to_record
 
 from conftest import make_scene, make_traj
 
@@ -162,6 +162,14 @@ BAD_INPUTS = {
                                    "scenes.csv, line 4", "zero"),
     "meta-bad-split-after-blank-line": (_csv(FOUR_ROWS, "scene_id,split\ns1,train\n\ns0,dev\n"),
                                         "scenes.csv.meta.csv, line 4", "split"),
+    "jsonl-agent-not-object": (_jsonl(agents=[None]), "scenes.jsonl, line 1", "attribute"),
+    "jsonl-int-too-large": (_jsonl(agents=[{"agent_id": "f", "t": [0, 10**400], "x": [0, 1],
+                                            "y": [0, 1]}], focal_agent_id="f"),
+                            "scenes.jsonl, line 1", "too large"),
+    "csv-row-too-long": (_csv(FOUR_ROWS + "s0,f,4.0,4.0,0.0,9\n"), "scenes.csv, line 6",
+                         "wrong number of fields"),
+    "meta-row-too-short": (_csv(FOUR_ROWS, "scene_id,split\ns0\n"),
+                           "scenes.csv.meta.csv, line 2", "wrong number of fields"),
 }
 
 
@@ -173,6 +181,132 @@ def test_bad_input_names_its_location(tmp_path, files, where, what):
     with pytest.raises(TrajectoryError, match=re.escape(f"{tmp_path / where}")) as err:
         load_scenes(tmp_path / data, format=data.rsplit(".", 1)[1])
     assert what in str(err.value)
+
+
+NAMES = st.text("abfxyz019_-", min_size=1, max_size=3)
+
+
+@st.composite
+def scene_lists(draw):
+    """1-3 scenes of 1-2 agents with 1-4 samples; hypothesis draws the shape
+    and metadata, a seeded generator the numbers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scenes = []
+    for sid in draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)):
+        agents = []
+        for aid in draw(st.lists(NAMES, min_size=1, max_size=2, unique=True)):
+            n = draw(st.integers(1, 4))
+            t = rng.uniform(-1e3, 1e3) + np.cumsum(rng.uniform(1e-3, 10.0, n))
+            xy = rng.normal(0.0, 10.0 ** rng.integers(-3, 7), (n, 2))
+            heading = rng.normal(size=n) if draw(st.booleans()) else None
+            agents.append(TrajectorySample(aid, t, xy, heading))
+        scenes.append(Scene(sid, draw(st.sampled_from(agents)).agent_id, agents,
+                            split=draw(st.sampled_from(VALID_SPLITS)),
+                            highway=draw(st.sampled_from([None, True, False])),
+                            mdsi_label=draw(st.none() | NAMES)))
+    return scenes
+
+
+def records(scenes):
+    return [scene_to_record(s) for s in scenes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenes=scene_lists())
+def test_save_then_load_gives_back_equal_scenes(tmp_path_factory, scenes):
+    path = tmp_path_factory.mktemp("round_trip") / "scenes.jsonl"
+    save_scenes(scenes, path)
+    assert records(load_scenes(path)) == records(scenes)
+
+
+def csv_files(scenes):
+    """The long-format CSV and its meta sidecar for `scenes`; CSV carries no heading."""
+    rows = [f"{s.scene_id},{a.agent_id},{t!r},{x!r},{y!r}" for s in scenes for a in s.agents
+            for t, (x, y) in zip(a.timestamps.tolist(), a.positions.tolist())]
+    meta = [f"{s.scene_id},{s.focal_agent_id},{s.split},"
+            f"{'' if s.highway is None else str(s.highway).lower()},{s.mdsi_label or ''}"
+            for s in scenes]
+    return {"scenes.csv": "\n".join(["scene_id,agent_id,t,x,y"] + rows) + "\n",
+            "scenes.csv.meta.csv": "\n".join(
+                ["scene_id,focal_agent_id,split,highway,mdsi_label"] + meta) + "\n"}
+
+
+# text spliced into a record: JSON and CSV punctuation, number parts and any
+# other character but a line break, so a record stays one physical line
+JUNK = st.text(st.sampled_from(list(',"{}[]:.-+e0123456789 truefalsnainf'))
+               | st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+               max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def json_slots(value):
+    """(container, key) of every field and every list item that is a
+    container, nested in a JSON record; number items are left to JUNK."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in list(items):
+        if isinstance(value, dict) or isinstance(item, (dict, list)):
+            yield value, key
+        if isinstance(item, (dict, list)):
+            yield from json_slots(item)
+
+
+@st.composite
+def json_corruption(draw, rec):
+    """rec with one nested value replaced or deleted, or one key added."""
+    container, key = draw(st.sampled_from(list(json_slots(rec))))
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        container[key] = draw(JSON_VALUES)
+    elif action == "delete":
+        del container[key]
+    elif isinstance(container, dict):
+        container[draw(st.text(max_size=3))] = draw(JSON_VALUES)
+    return json.dumps(rec)
+
+
+LOCATION = re.compile(r"(?P<file>[^,]+), (?:line (?P<line>\d+)|scene '.*'): ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenes=scene_lists(), target=st.sampled_from(["scenes.jsonl", "scenes.csv",
+                                                     "scenes.csv.meta.csv"]),
+       data=st.data())
+def test_corrupt_record_names_its_location(tmp_path_factory, scenes, target, data):
+    """Loading a file with one corrupt record either succeeds or raises
+    TrajectoryError naming a file and a physical line, or the scene of a bad
+    track; the line is the corrupt one. A quote opens a CSV field that may run
+    on to a later line, and csv numbers a record by its last line."""
+    files = csv_files(scenes)
+    files["scenes.jsonl"] = "".join(json.dumps(rec) + "\n" for rec in records(scenes))
+    lines = files[target].split("\n")[:-1]
+    first = 0 if target == "scenes.jsonl" else 1   # CSVs keep their header
+    k = data.draw(st.integers(first, len(lines) - 1))
+    if target == "scenes.jsonl" and data.draw(st.booleans()):
+        lines[k] = data.draw(json_corruption(json.loads(lines[k])))
+        junk = ""
+    else:
+        i = data.draw(st.integers(0, len(lines[k])))
+        j = data.draw(st.integers(i, len(lines[k])))
+        junk = data.draw(JUNK)
+        lines[k] = lines[k][:i] + junk + lines[k][j:]
+    files[target] = "\n".join(lines) + "\n"
+    folder = tmp_path_factory.mktemp("corrupt")
+    for name, text in files.items():
+        (folder / name).write_text(text, encoding="utf-8")
+    fmt = "jsonl" if target == "scenes.jsonl" else "csv"
+    try:
+        load_scenes(folder / f"scenes.{fmt}", format=fmt)
+    except TrajectoryError as exc:
+        where = LOCATION.match(str(exc))
+        assert where, str(exc)
+        assert where["file"] in {str(folder / name) for name in files}
+        if where["file"] == str(folder / target) and where["line"]:
+            last = len(lines) if '"' in junk and fmt == "csv" else k + 1
+            assert k + 1 <= int(where["line"]) <= last, str(exc)
 
 
 class TestResample:
