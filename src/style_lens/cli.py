@@ -14,7 +14,7 @@ from .forecast import ForecastModel, evaluate, examples_from_scenes, train
 from .kdsc import DEFAULT_SUBSET, ClusterModel, assign, fit_kdsc, label_clusters
 from .kinematics import FEATURE_NAMES, KinematicFeatures
 from .report import classify_scenes_tdbm, run_report, scene_features
-from .synth import DEFAULT_PARAMS, gen_cruise, gen_yellow_light
+from .synth import DEFAULT_PARAMS, check_mix, gen_cruise, gen_yellow_light
 from .tdbm import STYLE_LABELS, TdbmConfig, build_tdbm_features, tdbm_classify, tdbm_score
 from .traj import TrajectoryError, load_scenes, read_csv, save_scenes, write_csv
 
@@ -36,6 +36,10 @@ def _parse_mix(text):
         except ValueError as exc:
             raise SystemExit(f"--mix part {part!r}: {exc}; the styles are "
                              + ", ".join(DEFAULT_PARAMS)) from exc
+    try:
+        check_mix(mix)
+    except ValueError as exc:
+        raise SystemExit(f"--mix {text!r}: {exc}") from exc
     return mix
 
 

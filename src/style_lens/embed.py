@@ -18,6 +18,7 @@ import numpy as np
 from .kdsc import ClusterModel, assign
 from .kinematics import extract_features
 from .tdbm import TdbmConfig, _uniformize, build_tdbm_features, tdbm_classify, tdbm_score
+from .traj import check_keys
 
 NON_HIGHWAY, HIGHWAY = 0, 1
 V_HIGHWAY = 16.7  # m/s, ~60 km/h: mean focal speed at or above it is highway
@@ -71,7 +72,7 @@ class EmbeddingBank:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EmbeddingBank":
-        return cls(
+        return check_keys(d, cls(
             num_styles=int(d["num_styles"]),
             K=int(d["K"]),
             D=int(d["D"]),
@@ -79,7 +80,7 @@ class EmbeddingBank:
             e_k=np.asarray([s["e_k"] for s in d["styles"]], dtype=float),
             e_c=np.asarray([s["e_c"] for s in d["styles"]], dtype=float),
             style_names=tuple(d.get("style_names", ())),
-        )
+        ))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .embed import EmbeddingBank, StyleIndex, bank_gradients, lookup
 from .tdbm import style_order
+from .traj import check_keys
 
 FUSION_MODES = ("none", "early", "late")
 DEFAULT_MISS_THRESHOLD = 2.0  # m, final-displacement miss cutoff
@@ -86,7 +87,7 @@ class ForecastModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ForecastModel":
-        return cls(
+        return check_keys(d, cls(
             H=int(d["H"]), T=int(d["T"]), M=int(d["M"]), hidden=int(d["hidden"]),
             D=int(d["D"]), fusion=d["fusion"], seed=int(d["seed"]),
             input_scale=float(d.get("input_scale", 0.1)),
@@ -94,7 +95,7 @@ class ForecastModel:
             P=np.asarray(d["P"], dtype=float),
             W2=np.asarray(d["W2"], dtype=float), b2=np.asarray(d["b2"], dtype=float),
             W3=np.asarray(d["W3"], dtype=float), b3=np.asarray(d["b3"], dtype=float),
-        )
+        ))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .kinematics import KinematicFeatures
+from .traj import check_keys
 
 DEFAULT_SUBSET = ("max_abs_accel", "var_accel", "var_speed", "gamma")
 STD_FLOOR = 1e-12
@@ -58,7 +59,7 @@ class ClusterModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClusterModel":
-        return cls(
+        return check_keys(d, cls(
             feature_names=tuple(d["feature_names"]),
             mean=np.asarray(d["mean"], dtype=float),
             std=np.asarray(d["std"], dtype=float),
@@ -70,7 +71,7 @@ class ClusterModel:
             if d.get("train_assignments") is None
             else np.asarray(d["train_assignments"], dtype=int),
             metadata=d.get("metadata", {}),
-        )
+        ))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

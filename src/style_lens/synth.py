@@ -51,9 +51,11 @@ DEFAULT_CRUISE_MIX = {"aggressive": 0.5, "normal": 0.5}
 MDSI_NAMES = {"aggressive": "risky", "normal": "careful", "timid": "patient"}
 
 
-def _check_mix(mix: dict) -> None:
-    if not mix or abs(sum(mix.values()) - 1.0) > 1e-9 or min(mix.values()) < 0:
-        raise ValueError(f"mix fractions must be nonnegative and sum to 1, got {mix}")
+def check_mix(mix: dict) -> None:
+    """Raise ValueError unless the style fractions are finite, nonnegative and sum to 1."""
+    f = list(mix.values())
+    if not f or not np.isfinite(f).all() or min(f) < 0 or abs(sum(f) - 1.0) > 1e-9:
+        raise ValueError(f"mix fractions must be finite, nonnegative and sum to 1, got {mix}")
 
 
 def _draw_labels(mix: dict, n: int, rng) -> list:
@@ -85,7 +87,7 @@ def _jerk_limited_profile(v0, t_acts, a_targets, j_max, n_steps):
         for ta, at in zip(t_acts, a_targets):
             if t >= ta - 1e-9:
                 a_tgt = at
-        da = np.clip(a_tgt - a, -j_max * DT, j_max * DT)
+        da = min(max(a_tgt - a, -j_max * DT), j_max * DT)
         a = a + da
         v_new = v + a * DT
         if v_new < 0.0:
@@ -158,7 +160,7 @@ def gen_yellow_light(n, mix=None, params=None, seed=0):
         raise ValueError("n must be nonnegative")
     mix = dict(DEFAULT_YELLOW_MIX if mix is None else mix)
     params = dict(DEFAULT_PARAMS if params is None else params)
-    _check_mix(mix)
+    check_mix(mix)
     root = np.random.default_rng(seed)
     labels = _draw_labels(mix, n, root)
     children = np.random.SeedSequence(seed).spawn(n)
@@ -222,7 +224,7 @@ def gen_cruise(n, mix=None, params=None, seed=0, mdsi_confusion=0.2):
         raise ValueError("n must be nonnegative")
     mix = dict(DEFAULT_CRUISE_MIX if mix is None else mix)
     params = dict(DEFAULT_PARAMS if params is None else params)
-    _check_mix(mix)
+    check_mix(mix)
     root = np.random.default_rng(seed)
     labels = _draw_labels(mix, n, root)
     children = np.random.SeedSequence(seed).spawn(n)

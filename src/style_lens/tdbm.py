@@ -113,8 +113,7 @@ class StyleScores:
 
 
 def _uniformize(traj: TrajectorySample, dt: float) -> TrajectorySample:
-    steps = np.diff(traj.timestamps)
-    if len(steps) and np.ptp(steps) <= 1e-9:
+    if traj.step_spread <= 1e-9:  # False for NaN, below two samples
         return traj
     return resample_uniform(traj, dt)
 

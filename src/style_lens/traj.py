@@ -44,17 +44,27 @@ class TrajectorySample:
             raise TrajectoryError(
                 f"agent {self.agent_id!r}: timestamps and positions length mismatch"
             )
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(t).all() and np.isfinite(p).all()):
             raise TrajectoryError(f"agent {self.agent_id!r}: non-finite coordinates")
-        if len(t) >= 2 and not np.all(np.diff(t) > 0):
+        steps = t[1:] - t[:-1]
+        if not (steps > 0).all():
             raise TrajectoryError(
                 f"agent {self.agent_id!r}: timestamps not strictly increasing"
             )
         if self.heading is not None:
             h = np.asarray(self.heading, dtype=float)
             object.__setattr__(self, "heading", h)
+            if h.ndim != 1:
+                raise TrajectoryError(f"agent {self.agent_id!r}: heading must be 1-D, "
+                                      f"got shape {h.shape}")
             if len(h) != len(t):
                 raise TrajectoryError(f"agent {self.agent_id!r}: heading length mismatch")
+            if not np.isfinite(h).all():
+                raise TrajectoryError(f"agent {self.agent_id!r}: non-finite heading")
+        # for dt and resampling; not fields, so ==, repr and replace see none of it
+        first, spread = (steps[0], steps.max() - steps.min()) if len(steps) else (np.nan, np.nan)
+        object.__setattr__(self, "first_step", float(first))
+        object.__setattr__(self, "step_spread", float(spread))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -62,12 +72,11 @@ class TrajectorySample:
     @property
     def dt(self) -> float:
         """Inter-sample spacing; raises if not uniform to 1e-9 s."""
-        steps = np.diff(self.timestamps)
-        if len(steps) == 0:
+        if len(self) < 2:
             raise TrajectoryError("trajectory has a single sample")
-        if np.ptp(steps) > 1e-9:
-            raise TrajectoryError(f"non-uniform sampling (spread {np.ptp(steps):.3e} s)")
-        return float(steps[0])
+        if self.step_spread > 1e-9:
+            raise TrajectoryError(f"non-uniform sampling (spread {self.step_spread:.3e} s)")
+        return self.first_step
 
 
 @dataclass(frozen=True)
@@ -117,10 +126,7 @@ def _agent_from_record(rec: dict) -> TrajectorySample:
     return TrajectorySample(
         agent_id=rec["agent_id"],
         timestamps=np.asarray(rec["t"], dtype=float),
-        positions=np.column_stack([
-            np.asarray(rec["x"], dtype=float),
-            np.asarray(rec["y"], dtype=float),
-        ]) if rec["x"] else np.zeros((0, 2)),
+        positions=np.array((rec["x"], rec["y"]), dtype=float).T.copy(),
         heading=None if heading is None else np.asarray(heading, dtype=float),
     )
 
@@ -135,10 +141,10 @@ def scene_to_record(scene: Scene) -> dict:
         "agents": [
             {
                 "agent_id": a.agent_id,
-                "t": [float(v) for v in a.timestamps],
-                "x": [float(v) for v in a.positions[:, 0]],
-                "y": [float(v) for v in a.positions[:, 1]],
-                "heading": None if a.heading is None else [float(v) for v in a.heading],
+                "t": a.timestamps.tolist(),
+                "x": a.positions[:, 0].tolist(),
+                "y": a.positions[:, 1].tolist(),
+                "heading": None if a.heading is None else a.heading.tolist(),
             }
             for a in scene.agents
         ],
@@ -170,8 +176,8 @@ def load_scenes(path, format: str = "jsonl") -> list:
 
 def _load_jsonl(path) -> list:
     scenes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             if not line.strip():
                 continue
             try:
@@ -226,14 +232,29 @@ def _load_csv(path) -> list:
     return [described.get(sid) or scene({"scene_id": sid}) for sid in agents]
 
 
+def _utf8_lines(fh, path):
+    """The lines of fh, a text file opened with errors="surrogateescape"; a
+    line holding bytes that are not UTF-8 raises TrajectoryError naming the
+    file and the physical line."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:  # each undecodable byte is a lone surrogate
+                byte = ord(line[exc.start]) - 0xDC00
+                raise TrajectoryError(f"{path}, line {lineno}: byte {byte:#04x} at "
+                                      f"character {exc.start + 1} is not UTF-8") from None
+        yield line
+
+
 def read_csv(path, parse) -> list:
     """parse(record) of each data row of a headed CSV file, a record being a
     dict from column name to text. A missing column, a short or long row or a
     bad value (parse raising KeyError, TypeError or ValueError) raises
     TrajectoryError naming the file and the physical line."""
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.DictReader(_utf8_lines(fh, path))
         for rec in reader:  # reader.line_num is the physical line, blank lines included
             where = f"{path}, line {reader.line_num}"
             try:
@@ -245,6 +266,15 @@ def read_csv(path, parse) -> list:
             except (TypeError, ValueError) as exc:
                 raise TrajectoryError(f"{where}: {exc}") from exc
     return out
+
+
+def check_keys(record: dict, obj):
+    """obj, built from the JSON object `record`; a key of `record` that
+    obj.to_dict() does not write raises ValueError naming the key."""
+    unknown = sorted(set(record) - obj.to_dict().keys())
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    return obj
 
 
 def write_csv(path, columns, rows, header_lines=()) -> None:
@@ -259,7 +289,18 @@ def write_csv(path, columns, rows, header_lines=()) -> None:
 
 
 def save_scenes(scenes: Sequence[Scene], path) -> None:
-    """Write scenes as interchange JSONL, one scene per line."""
+    """Write scenes as interchange JSONL: UTF-8 text, one scene per line, each
+    a JSON object of this form (numbers are JSON floats):
+
+        {"scene_id": str, "focal_agent_id": str, "split": "train" | "val" | "test",
+         "highway": true | false | null, "mdsi_label": str | null,
+         "agents": [{"agent_id": str, "t": [s, ...], "x": [m, ...], "y": [m, ...],
+                     "heading": [rad, ...] | null}, ...]}
+
+    t, x, y and heading hold one finite number per sample, and t strictly
+    increases. load_scenes also reads a line that leaves out split (then
+    "train"), highway, mdsi_label or heading (then null), and skips blank
+    lines."""
     with open(path, "w", encoding="utf-8") as fh:
         for scene in scenes:
             fh.write(json.dumps(scene_to_record(scene)) + "\n")
@@ -273,8 +314,7 @@ def resample_uniform(traj: TrajectorySample, dt: float) -> TrajectorySample:
         raise TrajectoryError("need at least 2 samples to resample")
     t = traj.timestamps
     # identity short-circuit keeps already-uniform inputs bit-identical
-    steps = np.diff(t)
-    if abs(np.ptp(steps)) <= 1e-12 and abs(steps[0] - dt) <= 1e-12:
+    if abs(traj.step_spread) <= 1e-12 and abs(traj.first_step - dt) <= 1e-12:
         return traj
     n = int(math.floor((t[-1] - t[0]) / dt + 1e-9)) + 1
     new_t = t[0] + dt * np.arange(n)

@@ -202,6 +202,8 @@ def _json_loader_cases():
                "bank": ("styles", "rows", "no 'styles' key"),
                "kdsc": ("feature_names", "features", "no 'feature_names' key")}
     deleted = {"model": "W1", "bank": "D", "kdsc": "k"}
+    # an optional key misspelled must name itself, not load as the key's default
+    misspelled = {"model": "input_scale", "bank": "style_names", "kdsc": "labels"}
     for loader, d in valid.items():
         old, new, reason = renamed[loader]
         cases = {"unknown-key": ({new if k == old else k: v for k, v in d.items()}, reason)}
@@ -210,6 +212,10 @@ def _json_loader_cases():
         else:
             key = deleted[loader]
             cases["missing-key"] = ({k: v for k, v in d.items() if k != key}, f"no {key!r}")
+            key = misspelled[loader]
+            cases["misspelled-optional-key"] = (
+                {k[:-1] if k == key else k: v for k, v in d.items()},
+                f"unknown key {key[:-1]!r}")
         cases["bad-json"] = ("{", "Expecting property name")
         cases["missing-file"] = (None, "No such file or directory")
         for fault, (content, reason) in cases.items():
@@ -250,3 +256,52 @@ def test_bad_mix_exits_naming_the_part(tmp_path, mix, error):
         main(["synth", "--kind", "cruise", "--n", "3", "--mix", mix,
               "--out", str(tmp_path / "s.jsonl")])
     assert str(exit_.value) == f"--mix {error}; the styles are aggressive, normal, timid"
+
+
+@pytest.mark.parametrize("mix", ["aggressive=0.5", "aggressive=nan,normal=0.5",
+                                 "aggressive=-0.5,normal=1.5", "aggressive=inf"])
+def test_out_of_range_mix_exits_naming_the_flag(tmp_path, mix):
+    with pytest.raises(SystemExit) as exit_:
+        main(["synth", "--kind", "cruise", "--n", "3", "--mix", mix,
+              "--out", str(tmp_path / "s.jsonl")])
+    assert str(exit_.value).startswith(
+        f"--mix {mix!r}: mix fractions must be finite, nonnegative and sum to 1")
+
+
+# the bytes 0xff 0xfe, which are not UTF-8, as text that write_text(...,
+# errors="surrogateescape") writes back as those bytes
+NOT_UTF8 = b"\xff\xfe".decode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "agent-csv", "meta-csv", "labels", "features"])
+def test_non_utf8_input_exits_naming_the_line(workspace, kind):
+    """Bytes that are not UTF-8 in a scene id, on line 3 of each kind of input."""
+    w = workspace
+    main(["features", "--in", str(w / "cruise.jsonl"), "--out", str(w / "features.csv")])
+    jsonl = (w / "cruise.jsonl").read_text().splitlines(keepends=True)[:3]
+    features = (w / "features.csv").read_text().splitlines(keepends=True)[:3]
+    agents = "scene_id,agent_id,t,x,y\n" + "".join(f"s0,f,{t}.0,{t}.0,0.0\n" for t in range(4))
+    bad_id = f"s{NOT_UTF8}"
+    files, argv = {
+        "jsonl": ({"bad.jsonl": "".join(jsonl[:2]) + jsonl[2].replace("cruise-", bad_id)},
+                  ["features", "--in", str(w / "bad.jsonl"), "--out", str(w / "f.csv")]),
+        "agent-csv": ({"bad.csv": agents.replace("s0,f,1.0", f"{bad_id},f,1.0")},
+                      ["features", "--format", "csv", "--in", str(w / "bad.csv"),
+                       "--out", str(w / "f.csv")]),
+        "meta-csv": ({"s.csv": agents, "s.csv.meta.csv": f"scene_id,split\ns0,train\n"
+                      f"{bad_id},test\n"},
+                     ["features", "--format", "csv", "--in", str(w / "s.csv"),
+                      "--out", str(w / "f.csv")]),
+        "labels": ({"bad.csv": (w / "yellow_labels.csv").read_text().replace(
+                        "yellow-00001", bad_id)},
+                   ["train-embed", "--in", str(w / "yellow.jsonl"), "--labels",
+                    str(w / "bad.csv"), "--epochs", "1", "--model", str(w / "fc.json")]),
+        "features": ({"bad.csv": "".join(features[:2]) + features[2].replace("cruise-", bad_id)},
+                     ["kdsc", "--features", str(w / "bad.csv"), "--out", str(w / "m.json")]),
+    }[kind]
+    for name, text in files.items():
+        (w / name).write_text(text, encoding="utf-8", errors="surrogateescape")
+    bad = w / ("s.csv.meta.csv" if kind == "meta-csv" else min(files))
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert str(exit_.value).startswith(f"{bad}, line 3: byte 0xff at character "), exit_.value

@@ -15,6 +15,7 @@ from style_lens import (
     resample_uniform,
     save_scenes,
 )
+from style_lens.tdbm import _uniformize
 from style_lens.traj import VALID_SPLITS, scene_from_record, scene_to_record
 
 from conftest import make_scene, make_traj
@@ -43,6 +44,16 @@ class TestDataModel:
     def test_focal_must_be_present(self):
         with pytest.raises(TrajectoryError, match="focal"):
             Scene("s", "missing", (make_traj("x", [0, 1, 2]),))
+
+    @pytest.mark.parametrize("heading,what", [
+        (np.zeros((3, 1)), "heading must be 1-D"),
+        (0.5, "heading must be 1-D"),
+        (np.array([0.0, np.nan, 0.0]), "non-finite heading"),
+        (np.zeros(4), "heading length mismatch"),
+    ], ids=["column", "scalar", "nan", "too-long"])
+    def test_bad_heading_rejected(self, heading, what):
+        with pytest.raises(TrajectoryError, match=what):
+            TrajectorySample("a", np.arange(3.0), np.zeros((3, 2)), heading)
 
     def test_dt_non_uniform_raises(self):
         tr = TrajectorySample("a", np.array([0.0, 1.0, 3.0]), np.zeros((3, 2)))
@@ -140,6 +151,11 @@ def _csv(rows, meta=None):
 
 
 FOUR_ROWS = "".join(f"s0,f,{t}.0,{t}.0,0.0\n" for t in range(4))
+FOCAL_RECORD = _jsonl()["scenes.jsonl"]
+FOCAL_AGENT = json.loads(FOCAL_RECORD)["agents"][0]
+# the bytes 0xff 0xfe, which are not UTF-8, as text that write_text(...,
+# errors="surrogateescape") writes back as those bytes
+NOT_UTF8 = b"\xff\xfe".decode("utf-8", "surrogateescape")
 
 # (files, the file the error must name, a pattern the message must contain)
 BAD_INPUTS = {
@@ -170,13 +186,27 @@ BAD_INPUTS = {
                          "wrong number of fields"),
     "meta-row-too-short": (_csv(FOUR_ROWS, "scene_id,split\ns0\n"),
                            "scenes.csv.meta.csv, line 2", "wrong number of fields"),
+    "jsonl-heading-column": (_jsonl(agents=[dict(FOCAL_AGENT, heading=[[0.0]] * 4)]),
+                             "scenes.jsonl, line 1", "heading must be 1-D"),
+    "jsonl-heading-scalar": (_jsonl(agents=[dict(FOCAL_AGENT, heading=0.5)]),
+                             "scenes.jsonl, line 1", "heading must be 1-D"),
+    "jsonl-heading-nan": (_jsonl(agents=[dict(FOCAL_AGENT, heading=[0.0, float("nan"), 0.0,
+                                                                    0.0])]),
+                          "scenes.jsonl, line 1", "non-finite heading"),
+    "jsonl-not-utf8": ({"scenes.jsonl": FOCAL_RECORD + FOCAL_RECORD.replace('"s0"',
+                                                                            f'"s{NOT_UTF8}"')},
+                       "scenes.jsonl, line 2", "byte 0xff at character"),
+    "csv-not-utf8": (_csv(FOUR_ROWS + f"s{NOT_UTF8},f,0.0,0.0,0.0\n"), "scenes.csv, line 6",
+                     "byte 0xff at character 2 is not UTF-8"),
+    "meta-not-utf8": (_csv(FOUR_ROWS, f"scene_id,split\ns0,train\ns{NOT_UTF8},train\n"),
+                      "scenes.csv.meta.csv, line 3", "is not UTF-8"),
 }
 
 
 @pytest.mark.parametrize("files,where,what", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
 def test_bad_input_names_its_location(tmp_path, files, where, what):
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8", errors="surrogateescape")
     data = min(files)  # scenes.csv or scenes.jsonl, not the meta sidecar
     with pytest.raises(TrajectoryError, match=re.escape(f"{tmp_path / where}")) as err:
         load_scenes(tmp_path / data, format=data.rsplit(".", 1)[1])
@@ -307,6 +337,105 @@ def test_corrupt_record_names_its_location(tmp_path_factory, scenes, target, dat
         if where["file"] == str(folder / target) and where["line"]:
             last = len(lines) if '"' in junk and fmt == "csv" else k + 1
             assert k + 1 <= int(where["line"]) <= last, str(exc)
+
+
+def reference_checks(agent_id, timestamps, positions, heading):
+    """The message TrajectorySample raised for these inputs when it ran
+    np.diff/np.all on every check, or None where it accepted them."""
+    t = np.asarray(timestamps, dtype=float)
+    p = np.asarray(positions, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 2:
+        return f"agent {agent_id!r}: positions must be (n, 2)"
+    if t.ndim != 1 or len(t) != len(p):
+        return f"agent {agent_id!r}: timestamps and positions length mismatch"
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+        return f"agent {agent_id!r}: non-finite coordinates"
+    if len(t) >= 2 and not np.all(np.diff(t) > 0):
+        return f"agent {agent_id!r}: timestamps not strictly increasing"
+    if heading is not None and len(np.asarray(heading, dtype=float)) != len(t):
+        return f"agent {agent_id!r}: heading length mismatch"
+    return None
+
+
+def reference_dt(t):
+    """TrajectorySample.dt as np.diff/np.ptp computed it on every call."""
+    steps = np.diff(t)
+    if len(steps) == 0:
+        raise TrajectoryError("trajectory has a single sample")
+    if np.ptp(steps) > 1e-9:
+        raise TrajectoryError(f"non-uniform sampling (spread {np.ptp(steps):.3e} s)")
+    return float(steps[0])
+
+
+def reference_identities(t, dt):
+    """Whether _uniformize(traj, dt) and resample_uniform(traj, dt) returned
+    traj itself, by their np.diff/np.ptp tests (for two or more samples)."""
+    steps = np.diff(t)
+    return (np.ptp(steps) <= 1e-9,
+            abs(np.ptp(steps)) <= 1e-12 and abs(steps[0] - dt) <= 1e-12)
+
+
+@st.composite
+def track_inputs(draw):
+    """(timestamps, positions, heading, grid step): grids with steps jittered
+    around the 1e-12 and 1e-9 tolerances, or free timestamps with repeats and
+    reversals; now and then a non-finite value, or positions or a heading of
+    the wrong shape."""
+    def rare():
+        return draw(st.integers(0, 9)) == 0
+
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([0.1, 0.25, 1.0]))
+        t = draw(st.floats(-100, 100)) + step * np.arange(n)
+        if n and draw(st.booleans()):
+            jitter = draw(st.sampled_from([1e-13, 5e-13, 2e-12, 5e-10, 2e-9, 1e-3]))
+            t[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-1, 1])) * jitter
+    else:
+        step = 0.1
+        t = np.array(draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            t.sort()
+    rows = n + 1 if rare() else n
+    positions = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * rows,
+                                       max_size=2 * rows))).reshape(rows, 2)
+    for values in (t, positions.reshape(-1)):
+        if len(values) and rare():
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from([np.nan,
+                                                                                 -np.inf]))
+    if rare():
+        positions = np.zeros((rows, 3))
+    heading = np.zeros(n + 1) if rare() else draw(st.sampled_from([None, np.zeros(n)]))
+    return t, positions, heading, step
+
+
+@settings(max_examples=300, deadline=None)
+@given(track=track_inputs())
+def test_validation_and_steps_match_the_reference(track):
+    """Validation accepts and rejects what the np.diff/np.all checks did, with
+    the same message, and dt, _uniformize and resample_uniform decide from
+    the kept steps as np.diff/np.ptp on every call did."""
+    t, positions, heading, step = track
+    expected = reference_checks("a", t, positions, heading)
+    try:
+        tr = TrajectorySample("a", t, positions, heading)
+    except TrajectoryError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    try:
+        want = reference_dt(t)
+    except TrajectoryError as exc:
+        with pytest.raises(TrajectoryError, match=re.escape(str(exc))):
+            tr.dt
+    else:
+        assert tr.dt == want
+    if len(t) < 2:
+        with pytest.raises(TrajectoryError, match="at least 2 samples"):
+            _uniformize(tr, step)
+    else:
+        got = _uniformize(tr, step) is tr, resample_uniform(tr, step) is tr
+        assert got == reference_identities(t, step)
 
 
 class TestResample:
