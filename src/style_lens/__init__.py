@@ -56,6 +56,7 @@ from .tdbm import (
 )
 from .traj import (
     Scene,
+    StyleLensError,
     TrajectoryError,
     TrajectorySample,
     derivatives,

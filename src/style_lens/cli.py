@@ -10,13 +10,13 @@ import argparse
 import sys
 
 from .embed import EmbeddingBank, StyleIndex, context_classify
-from .forecast import ForecastModel, evaluate, examples_from_scenes, train
+from .forecast import ForecastError, ForecastModel, evaluate, examples_from_scenes, train
 from .kdsc import DEFAULT_SUBSET, ClusterModel, assign, fit_kdsc, label_clusters
 from .kinematics import FEATURE_NAMES, KinematicFeatures
 from .report import classify_scenes_tdbm, run_report, scene_features
 from .synth import DEFAULT_PARAMS, check_mix, gen_cruise, gen_yellow_light
 from .tdbm import STYLE_LABELS, TdbmConfig, build_tdbm_features, tdbm_classify, tdbm_score
-from .traj import TrajectoryError, load_scenes, read_csv, save_scenes, write_csv
+from .traj import StyleLensError, load_scenes, read_csv, save_scenes, write_csv
 
 
 def _parse_mix(text):
@@ -34,28 +34,30 @@ def _parse_mix(text):
                 raise ValueError(f"style {name!r} given twice")
             mix[name] = float(frac)
         except ValueError as exc:
-            raise SystemExit(f"--mix part {part!r}: {exc}; the styles are "
-                             + ", ".join(DEFAULT_PARAMS)) from exc
+            raise StyleLensError(f"--mix part {part!r}: {exc}; the styles are "
+                                 + ", ".join(DEFAULT_PARAMS)) from exc
     try:
         check_mix(mix)
     except ValueError as exc:
-        raise SystemExit(f"--mix {text!r}: {exc}") from exc
+        raise StyleLensError(f"--mix {text!r}: {exc}") from exc
     return mix
 
 
-def _load_json(load, path):
-    """load(path) of a JSON input file; bad JSON, or a missing, unknown or bad
-    key, exits with `<path>: <reason>` (a missing file exits in main)."""
-    try:
-        return load(path)
-    except KeyError as exc:
-        raise SystemExit(f"{path}: no {exc.args[0]!r} key") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise SystemExit(f"{path}: {exc}") from exc
+def _number(kind, low, strict=False):
+    """argparse type= for a finite `kind` value >= low, or > low if strict; for
+    any other value argparse exits with status 2 naming the flag."""
+    def parse(text):
+        value = kind(text)
+        if not (low < value if strict else low <= value) or value == float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite and {'>' if strict else '>='} "
+                                             f"{low}, not {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 def _tdbm_config(path):
-    return _load_json(TdbmConfig.load, path) if path else TdbmConfig()
+    return TdbmConfig.load(path) if path else TdbmConfig()
 
 
 def cmd_synth(args):
@@ -124,7 +126,7 @@ def _scene_styles(scenes, args):
     label_map = dict(read_csv(args.labels, lambda rec: (rec["scene_id"], rec["label"])))
     for scene in scenes:
         if scene.scene_id not in label_map:
-            raise SystemExit(f"{args.labels}: no label for scene {scene.scene_id!r}")
+            raise StyleLensError(f"{args.labels}: no label for scene {scene.scene_id!r}")
     return [label_map[s.scene_id] for s in scenes], tuple(sorted(set(label_map.values())))
 
 
@@ -133,25 +135,34 @@ def _style_indices(scenes, styles, names):
     name_to_z = {name: z for z, name in enumerate(names)}
     for scene, style in zip(scenes, styles):
         if style not in name_to_z:
-            raise SystemExit(f"scene {scene.scene_id!r}: style {style!r} is not one of "
-                             f"the bank's styles {list(names)}")
+            raise StyleLensError(f"scene {scene.scene_id!r}: style {style!r} is not one of "
+                                 f"the bank's styles {list(names)}")
     return [StyleIndex(z=name_to_z[style], k=0, c=context_classify(scene))
             for scene, style in zip(scenes, styles)]
+
+
+def _examples(args, scenes, H, T, indices, styles=None):
+    """The forecast examples of the scenes read from --in; none exits naming it."""
+    examples, skipped = examples_from_scenes(scenes, H, T, indices, styles)
+    if skipped:
+        print(f"skipped {skipped} scenes shorter than H+T", file=sys.stderr)
+    if not examples:
+        raise ForecastError(f"{args.infile}: {len(scenes)} scenes, none with the H+T={H + T} "
+                            "samples that a forecast example needs")
+    return examples
 
 
 def cmd_train_embed(args):
     scenes = load_scenes(args.infile, args.format)
     styles, names = _scene_styles(scenes, args)
     indices = _style_indices(scenes, styles, names)
+    examples = _examples(args, scenes, args.history, args.horizon, indices)
     bank = EmbeddingBank.init(num_styles=len(names), K=1, D=args.dim, seed=args.seed)
     bank.style_names = names
     model = ForecastModel.init(
         H=args.history, T=args.horizon, M=args.modes, hidden=args.hidden,
         D=args.dim, fusion=args.fusion, seed=args.seed,
     )
-    examples, skipped = examples_from_scenes(scenes, model.H, model.T, indices)
-    if skipped:
-        print(f"skipped {skipped} scenes shorter than H+T", file=sys.stderr)
     model, bank, losses = train(
         examples, model, bank if args.fusion != "none" else None,
         epochs=args.epochs, lr=args.lr, seed=args.seed,
@@ -165,15 +176,13 @@ def cmd_train_embed(args):
 
 def cmd_eval(args):
     scenes = load_scenes(args.infile, args.format)
-    model = _load_json(ForecastModel.load, args.model)
-    bank = _load_json(EmbeddingBank.load, args.bank) if args.bank else None
+    model = ForecastModel.load(args.model)
+    bank = EmbeddingBank.load(args.bank) if args.bank else None
     styles, names = _scene_styles(scenes, args)
     if bank is not None:  # the bank's rows are indexed by the styles it was trained on
         names = bank.style_names
     indices = _style_indices(scenes, styles, names)
-    examples, skipped = examples_from_scenes(scenes, model.H, model.T, indices, styles)
-    if skipped:
-        print(f"skipped {skipped} scenes shorter than H+T", file=sys.stderr)
+    examples = _examples(args, scenes, model.H, model.T, indices, styles)
     rows = evaluate(examples, model, bank, miss_threshold=args.miss_threshold)
     write_csv(args.out, ["style", "model", "brierFDE", "minADE", "minFDE", "MissRate", "n"],
               [(r.style, model.fusion, r.brierFDE, r.minADE, r.minFDE, r.MissRate, r.n)
@@ -183,7 +192,7 @@ def cmd_eval(args):
 
 def cmd_report(args):
     scenes = load_scenes(args.infile, args.format)
-    kdsc_model = _load_json(ClusterModel.load, args.kdsc_model) if args.kdsc_model else None
+    kdsc_model = ClusterModel.load(args.kdsc_model) if args.kdsc_model else None
     written = run_report(scenes, args.out_dir, _tdbm_config(args.tdbm_config), kdsc_model,
                          n_min=args.n_min, svg=args.svg)
     for path in written:
@@ -200,9 +209,9 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic scene corpus")
     p.add_argument("--kind", choices=["yellow-light", "cruise"], required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_number(int, 0), required=True)
     p.add_argument("--mix", default=None, help="e.g. aggressive=0.5,timid=0.5")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--labels", default=None, help="optional ground-truth label CSV")
     p.set_defaults(func=cmd_synth)
@@ -239,14 +248,14 @@ def build_parser():
     p.add_argument("--model", required=True, help="output model JSON")
     p.add_argument("--labels", default=None, help="ground-truth style labels CSV")
     p.add_argument("--tdbm-config", default=None)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--history", type=int, default=8)
-    p.add_argument("--horizon", type=int, default=12)
-    p.add_argument("--modes", type=int, default=6)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--epochs", type=_number(int, 1), default=100)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
+    p.add_argument("--lr", type=_number(float, 0, strict=True), default=1e-2)
+    p.add_argument("--history", type=_number(int, 1), default=8)
+    p.add_argument("--horizon", type=_number(int, 1), default=12)
+    p.add_argument("--modes", type=_number(int, 1), default=6)
+    p.add_argument("--hidden", type=_number(int, 1), default=64)
+    p.add_argument("--dim", type=_number(int, 1), default=16)
     p.set_defaults(func=cmd_train_embed)
 
     p = sub.add_parser("eval", help="evaluate a trained model, metrics by style")
@@ -255,7 +264,7 @@ def build_parser():
     p.add_argument("--bank", default=None)
     p.add_argument("--labels", default=None)
     p.add_argument("--tdbm-config", default=None)
-    p.add_argument("--miss-threshold", type=float, default=2.0)
+    p.add_argument("--miss-threshold", type=_number(float, 0), default=2.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -272,12 +281,12 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one subcommand; bad input exits naming its file and line, not a traceback.
-    A file that cannot be opened exits with the system's message, which names it."""
+    """Run one subcommand. A bad flag value exits with argparse's status 2; a
+    package error or a file that cannot be opened exits with status 1 and one line."""
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (TrajectoryError, OSError) as exc:
+    except (StyleLensError, OSError) as exc:
         raise SystemExit(str(exc)) from exc
 
 

@@ -9,7 +9,6 @@ factor interaction, whose sum is exactly the table entry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +17,7 @@ import numpy as np
 from .kdsc import ClusterModel, assign
 from .kinematics import extract_features
 from .tdbm import TdbmConfig, _uniformize, build_tdbm_features, tdbm_classify, tdbm_score
-from .traj import check_keys
+from .traj import read_json, shaped, write_json
 
 NON_HIGHWAY, HIGHWAY = 0, 1
 V_HIGHWAY = 16.7  # m/s, ~60 km/h: mean focal speed at or above it is highway
@@ -72,25 +71,20 @@ class EmbeddingBank:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EmbeddingBank":
-        return check_keys(d, cls(
-            num_styles=int(d["num_styles"]),
-            K=int(d["K"]),
-            D=int(d["D"]),
-            seed=int(d.get("seed", 0)),
-            e_k=np.asarray([s["e_k"] for s in d["styles"]], dtype=float),
-            e_c=np.asarray([s["e_c"] for s in d["styles"]], dtype=float),
-            style_names=tuple(d.get("style_names", ())),
-        ))
+        Z, K, D = (int(d[name]) for name in ("num_styles", "K", "D"))
+        names = tuple(d.get("style_names", ()))
+        if names and len(names) != Z:
+            raise ValueError(f"style_names has {len(names)} entries, expected num_styles={Z}")
+        return cls(num_styles=Z, K=K, D=D, seed=int(d.get("seed", 0)), style_names=names,
+                   e_k=shaped("e_k", [s["e_k"] for s in d["styles"]], (Z, K, D)),
+                   e_c=shaped("e_c", [s["e_c"] for s in d["styles"]], (Z, 2, D)))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "EmbeddingBank":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return read_json(path, cls.from_dict)
 
 
 def lookup(bank: EmbeddingBank, idx: StyleIndex):

@@ -15,7 +15,6 @@ bank_gradients call per batch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -23,14 +22,14 @@ import numpy as np
 
 from .embed import EmbeddingBank, StyleIndex, bank_gradients, lookup
 from .tdbm import style_order
-from .traj import check_keys
+from .traj import StyleLensError, read_json, shaped, write_json
 
 FUSION_MODES = ("none", "early", "late")
 DEFAULT_MISS_THRESHOLD = 2.0  # m, final-displacement miss cutoff
 BATCH_SIZE = 32  # training examples per gradient step
 
 
-class ForecastError(ValueError):
+class ForecastError(StyleLensError):
     pass
 
 
@@ -59,21 +58,19 @@ class ForecastModel:
             raise ForecastError(f"fusion must be one of {FUSION_MODES}, got {fusion!r}")
         rng = np.random.default_rng(seed)
 
-        def uni(shape, fan_in):
-            bound = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
+        def draw(name, shape):  # biases start at zero; a weight's fan-in is its last axis
+            bound = 1.0 / np.sqrt(shape[-1])
+            return np.zeros(shape) if name[0] == "b" else rng.uniform(-bound, bound, size=shape)
 
-        return cls(
-            H=H, T=T, M=M, hidden=hidden, D=D, fusion=fusion, seed=seed,
-            input_scale=input_scale,
-            W1=uni((hidden, 2 * H), 2 * H),
-            b1=np.zeros(hidden),
-            P=uni((hidden, D), D),
-            W2=uni((M, 2 * T, hidden), hidden),
-            b2=np.zeros((M, 2 * T)),
-            W3=uni((M, hidden), hidden),
-            b3=np.zeros(M),
-        )
+        return cls(H=H, T=T, M=M, hidden=hidden, D=D, fusion=fusion, seed=seed,
+                   input_scale=input_scale, **{name: draw(name, shape) for name, shape
+                                               in cls.shapes(H, T, M, hidden, D).items()})
+
+    @staticmethod
+    def shapes(H, T, M, hidden, D) -> dict:
+        """The shape of each weight array of a model with these dimensions."""
+        return {"W1": (hidden, 2 * H), "b1": (hidden,), "P": (hidden, D),
+                "W2": (M, 2 * T, hidden), "b2": (M, 2 * T), "W3": (M, hidden), "b3": (M,)}
 
     def to_dict(self) -> dict:
         return {
@@ -87,25 +84,18 @@ class ForecastModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ForecastModel":
-        return check_keys(d, cls(
-            H=int(d["H"]), T=int(d["T"]), M=int(d["M"]), hidden=int(d["hidden"]),
-            D=int(d["D"]), fusion=d["fusion"], seed=int(d["seed"]),
-            input_scale=float(d.get("input_scale", 0.1)),
-            W1=np.asarray(d["W1"], dtype=float), b1=np.asarray(d["b1"], dtype=float),
-            P=np.asarray(d["P"], dtype=float),
-            W2=np.asarray(d["W2"], dtype=float), b2=np.asarray(d["b2"], dtype=float),
-            W3=np.asarray(d["W3"], dtype=float), b3=np.asarray(d["b3"], dtype=float),
-        ))
+        dims = {name: int(d[name]) for name in ("H", "T", "M", "hidden", "D")}
+        return cls(**dims, fusion=d["fusion"], seed=int(d["seed"]),
+                   input_scale=float(d.get("input_scale", 0.1)),
+                   **{name: shaped(name, d[name], shape)
+                      for name, shape in cls.shapes(**dims).items()})
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "ForecastModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return read_json(path, cls.from_dict)
 
 
 @dataclass(frozen=True)
@@ -232,6 +222,12 @@ def _style(model: ForecastModel, bank, index, n: int) -> np.ndarray:
     return np.zeros((n, model.D)) if index is None else lookup(bank, index)[0]
 
 
+def _check_bank(model: ForecastModel, bank) -> None:
+    if model.fusion != "none" and getattr(bank, "D", None) != model.D:
+        raise ForecastError(f"fusion={model.fusion!r} requires an embedding bank of D="
+                            f"{model.D}" + ("" if bank is None else f", not D={bank.D}"))
+
+
 def train(
     examples: Sequence[TrainingExample],
     model: ForecastModel,
@@ -247,8 +243,7 @@ def train(
     fusion is enabled. Returns the per-epoch mean training loss as the third
     element.
     """
-    if model.fusion != "none" and bank is None:
-        raise ForecastError(f"fusion={model.fusion!r} requires an embedding bank")
+    _check_bank(model, bank)
     rng = np.random.default_rng(seed)
     n = len(examples)
     x_all, future_all, index_all = _stack(model, examples)
@@ -298,8 +293,7 @@ def evaluate(
     """Per-style and Overall metric rows (style taken from each example)."""
     if not examples:
         raise ForecastError("cannot evaluate an empty dataset")
-    if model.fusion != "none" and bank is None:
-        raise ForecastError(f"fusion={model.fusion!r} requires an embedding bank")
+    _check_bank(model, bank)
     x, future, index = _stack(model, examples)
     fc = _forward(model, x, _style(model, bank, index, len(examples)))[2]
     disp = np.linalg.norm(fc.modes - future[:, None], axis=3)  # n x M x T

@@ -9,21 +9,20 @@ case."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .kinematics import KinematicFeatures
-from .traj import check_keys
+from .traj import StyleLensError, read_json, write_json
 
 DEFAULT_SUBSET = ("max_abs_accel", "var_accel", "var_speed", "gamma")
 STD_FLOOR = 1e-12
 _D2_BLOCK_ROWS = 64   # rows of the initial distance matrix built per block
 
 
-class ClusteringError(ValueError):
+class ClusteringError(StyleLensError):
     pass
 
 
@@ -59,7 +58,7 @@ class ClusterModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClusterModel":
-        return check_keys(d, cls(
+        return cls(
             feature_names=tuple(d["feature_names"]),
             mean=np.asarray(d["mean"], dtype=float),
             std=np.asarray(d["std"], dtype=float),
@@ -71,17 +70,14 @@ class ClusterModel:
             if d.get("train_assignments") is None
             else np.asarray(d["train_assignments"], dtype=int),
             metadata=d.get("metadata", {}),
-        ))
+        )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict(), indent=1, sort_keys=True)
 
     @classmethod
     def load(cls, path) -> "ClusterModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return read_json(path, cls.from_dict)
 
 
 def ward_linkage(points: np.ndarray) -> list:

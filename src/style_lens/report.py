@@ -23,7 +23,7 @@ from .tdbm import (
     tdbm_classify,
     tdbm_score,
 )
-from .traj import write_csv
+from .traj import StyleLensError, write_csv
 
 GAMMA_DEFINITION_TAG = "rms-jerk-of-speed/v_peak"  # echoed in every header
 # mean-speed histogram bins of cluster_speed_distribution, m/s; echoed in its header
@@ -31,7 +31,7 @@ SPEED_BIN_WIDTH = 0.5
 SPEED_RANGE = (0.0, 40.0)
 
 
-class ReportError(ValueError):
+class ReportError(StyleLensError):
     pass
 
 

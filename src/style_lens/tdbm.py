@@ -5,13 +5,12 @@ no-neighbor override."""
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .traj import (Scene, TrajectoryError, TrajectorySample, central_diff, derivatives,
-                   resample_uniform)
+                   read_json, resample_uniform)
 
 # Fixed mapping matrix: rows are style classes (aggressive ... timid),
 # columns are (s_center, v_nei, s_front, v_avg, j_l, bias).
@@ -79,8 +78,7 @@ class TdbmConfig:
 
     @classmethod
     def load(cls, path) -> "TdbmConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+        return read_json(path, lambda d: cls(**d))
 
 
 @dataclass(frozen=True)

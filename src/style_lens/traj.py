@@ -16,8 +16,12 @@ _CSV_HIGHWAY = {None: None, "": None, "true": True, "True": True, "1": True,
                 "false": False, "False": False, "0": False}
 
 
-class TrajectoryError(ValueError):
-    """Raised for malformed trajectory or scene data."""
+class StyleLensError(ValueError):
+    """Base of the package's errors: bad input or a request it cannot serve."""
+
+
+class TrajectoryError(StyleLensError):
+    """Raised for malformed trajectory or scene data, or an unreadable input file."""
 
 
 @dataclass(frozen=True)
@@ -122,13 +126,16 @@ class Scene:
 
 
 def _agent_from_record(rec: dict) -> TrajectorySample:
-    heading = rec.get("heading")
-    return TrajectorySample(
-        agent_id=rec["agent_id"],
-        timestamps=np.asarray(rec["t"], dtype=float),
-        positions=np.array((rec["x"], rec["y"]), dtype=float).T.copy(),
-        heading=None if heading is None else np.asarray(heading, dtype=float),
-    )
+    heading, aid, t, x, y = rec.get("heading"), rec["agent_id"], rec["t"], rec["x"], rec["y"]
+    for name, value in (("t", t), ("x", x), ("y", y)):
+        if not isinstance(value, list):
+            raise TrajectoryError(f"agent {aid!r}: {name} must be a list, "
+                                  f"not {type(value).__name__}")
+        if len(value) != len(t):
+            raise TrajectoryError(f"agent {aid!r}: t has {len(t)} samples, "
+                                  f"{name} has {len(value)}")
+    return TrajectorySample(aid, np.asarray(t, dtype=float), np.array((x, y), dtype=float).T.copy(),
+                            None if heading is None else np.asarray(heading, dtype=float))
 
 
 def scene_to_record(scene: Scene) -> dict:
@@ -174,6 +181,16 @@ def load_scenes(path, format: str = "jsonl") -> list:
     raise ValueError(f"unknown format {format!r}")
 
 
+# what parsing a bad record raises, a failed check (TrajectoryError) included
+READ_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def _bad_input(where, exc, noun="key") -> TrajectoryError:
+    """exc, raised parsing the record at `where`, as a TrajectoryError naming it."""
+    what = f"no {exc.args[0]!r} {noun}" if isinstance(exc, KeyError) else exc
+    return TrajectoryError(f"{where}: {what}")
+
+
 def _load_jsonl(path) -> list:
     scenes = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -181,10 +198,9 @@ def _load_jsonl(path) -> list:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                scenes.append(scene_from_record(rec))
-            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise TrajectoryError(f"{path}, line {lineno}: {exc}") from exc
+                scenes.append(scene_from_record(json.loads(line)))
+            except READ_ERRORS as exc:
+                raise _bad_input(f"{path}, line {lineno}", exc) from exc
     return scenes
 
 
@@ -250,31 +266,48 @@ def _utf8_lines(fh, path):
 def read_csv(path, parse) -> list:
     """parse(record) of each data row of a headed CSV file, a record being a
     dict from column name to text. A missing column, a short or long row or a
-    bad value (parse raising KeyError, TypeError or ValueError) raises
-    TrajectoryError naming the file and the physical line."""
+    bad value (parse raising one of READ_ERRORS) raises TrajectoryError naming
+    the file and the physical line."""
     out = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(_utf8_lines(fh, path))
         for rec in reader:  # reader.line_num is the physical line, blank lines included
-            where = f"{path}, line {reader.line_num}"
             try:
                 if None in rec or None in rec.values():  # csv's marks of a long or short row
                     raise ValueError("wrong number of fields")
                 out.append(parse(rec))
-            except KeyError as exc:
-                raise TrajectoryError(f"{where}: no {exc.args[0]!r} column") from exc
-            except (TypeError, ValueError) as exc:
-                raise TrajectoryError(f"{where}: {exc}") from exc
+            except READ_ERRORS as exc:
+                raise _bad_input(f"{path}, line {reader.line_num}", exc, "column") from exc
     return out
 
 
-def check_keys(record: dict, obj):
-    """obj, built from the JSON object `record`; a key of `record` that
-    obj.to_dict() does not write raises ValueError naming the key."""
-    unknown = sorted(set(record) - obj.to_dict().keys())
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}")
+def read_json(path, from_dict):
+    """from_dict(record) of the JSON object in a file; bad JSON, a missing or bad
+    key, or a key that the built object's to_dict() lacks raises TrajectoryError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            record = json.load(fh)
+            obj = from_dict(record)
+            unknown = sorted(set(record) - obj.to_dict().keys())
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}")
+        except READ_ERRORS as exc:
+            raise _bad_input(path, exc) from exc
     return obj
+
+
+def shaped(name, values, shape) -> np.ndarray:
+    """values as a float array of the given shape, else ValueError naming it."""
+    array = np.asarray(values, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    return array
+
+
+def write_json(path, record, **fmt) -> None:
+    """Write record as UTF-8 JSON text, json.dumps(record, **fmt), and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, **fmt) + "\n")
 
 
 def write_csv(path, columns, rows, header_lines=()) -> None:

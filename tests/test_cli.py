@@ -1,8 +1,12 @@
+import contextlib
 import filecmp
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from style_lens.cli import main
 from style_lens.embed import EmbeddingBank
@@ -305,3 +309,199 @@ def test_non_utf8_input_exits_naming_the_line(workspace, kind):
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert str(exit_.value).startswith(f"{bad}, line 3: byte 0xff at character "), exit_.value
+
+
+def _one_line_exit(argv, capsys):
+    """(status, message) of main(argv), which must exit: status 1 with its
+    one-line message, or argparse's status 2 with the last line it printed."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    code = exit_.value.code
+    if code == 2:
+        return 2, capsys.readouterr().err.strip().splitlines()[-1]
+    assert isinstance(code, str) and "\n" not in code, code
+    return 1, code
+
+
+@pytest.mark.parametrize("command,option,value,bound", [
+    pytest.param(*case, id=f"{case[0]}{case[1]}={case[2]}") for case in [
+        ("synth", "--n", "-1", ">= 0"),
+        ("synth", "--seed", "-5", ">= 0"),
+        ("train-embed", "--epochs", "-3", ">= 1"),
+        ("train-embed", "--modes", "0", ">= 1"),
+        ("train-embed", "--hidden", "0", ">= 1"),
+        ("train-embed", "--history", "0", ">= 1"),
+        ("train-embed", "--horizon", "0", ">= 1"),
+        ("train-embed", "--dim", "0", ">= 1"),
+        ("train-embed", "--seed", "-1", ">= 0"),
+        ("train-embed", "--lr", "nan", "> 0"),
+        ("train-embed", "--lr", "0", "> 0"),
+        ("train-embed", "--lr", "inf", "> 0"),
+        ("eval", "--miss-threshold", "nan", ">= 0"),
+        ("eval", "--miss-threshold", "-1", ">= 0"),
+        ("eval", "--miss-threshold", "1e999", ">= 0"),
+    ]])
+def test_out_of_range_flag_exits_naming_it(tmp_path, capsys, command, option, value, bound):
+    """argparse rejects the value before any file is read."""
+    out = str(tmp_path / "out")
+    argv = {"synth": ["--kind", "cruise", "--n", "3", "--out", out],
+            "train-embed": ["--in", "c.jsonl", "--model", out],
+            "eval": ["--in", "c.jsonl", "--model", "fc.json", "--out", out]}[command]
+    argv = [command, *argv, option, value]
+    assert _one_line_exit(argv, capsys) == (
+        2, f"style-lens {command}: error: argument {option}: must be finite and {bound}, "
+           f"not {value!r}")
+
+
+def _bank(D, names=("aggressive", "timid")):
+    bank = EmbeddingBank.init(num_styles=2, K=1, D=D)
+    bank.style_names = names
+    return bank.to_dict()
+
+
+# (id, {file: JSON record or raw text}, argv tail after the corpus arguments,
+#  the one-line message with {w} for the workspace)
+EVAL_FAULTS = [
+    ("fusion-model-without-bank", {"fc.json": MODEL.to_dict()}, ["--model", "fc.json"],
+     "fusion='early' requires an embedding bank of D=4"),
+    ("model-H-1e999", {"fc.json": json.dumps(MODEL.to_dict()).replace('"H": 8', '"H": 1e999'),
+                       "bank.json": _bank(4)}, ["--model", "fc.json", "--bank", "bank.json"],
+     "{w}/fc.json: cannot convert float infinity to integer"),
+    ("bank-D-1e999", {"fc.json": MODEL.to_dict(),
+                      "bank.json": json.dumps(_bank(4)).replace('"D": 4', '"D": 1e999')},
+     ["--model", "fc.json", "--bank", "bank.json"],
+     "{w}/bank.json: cannot convert float infinity to integer"),
+    ("model-W1-row-removed", {"fc.json": dict(MODEL.to_dict(), W1=MODEL.to_dict()["W1"][1:]),
+                              "bank.json": _bank(4)},
+     ["--model", "fc.json", "--bank", "bank.json"],
+     "{w}/fc.json: W1 has shape (3, 16), expected (4, 16)"),
+    ("model-H-disagrees", {"fc.json": dict(MODEL.to_dict(), H=9), "bank.json": _bank(4)},
+     ["--model", "fc.json", "--bank", "bank.json"],
+     "{w}/fc.json: W1 has shape (4, 16), expected (4, 18)"),
+    ("bank-D-disagrees", {"fc.json": MODEL.to_dict(), "bank.json": dict(_bank(16), D=3)},
+     ["--model", "fc.json", "--bank", "bank.json"],
+     "{w}/bank.json: e_k has shape (2, 1, 16), expected (2, 1, 3)"),
+    ("bank-style-names-short", {"fc.json": MODEL.to_dict(), "bank.json": _bank(4, ["timid"])},
+     ["--model", "fc.json", "--bank", "bank.json"],
+     "{w}/bank.json: style_names has 1 entries, expected num_styles=2"),
+    ("bank-D-differs-from-model", {"fc.json": MODEL.to_dict(), "bank.json": _bank(16)},
+     ["--model", "fc.json", "--bank", "bank.json"],
+     "fusion='early' requires an embedding bank of D=4, not D=16"),
+]
+
+
+@pytest.mark.parametrize("files,tail,message", [pytest.param(*case[1:], id=case[0])
+                                                for case in EVAL_FAULTS])
+def test_bad_model_or_bank_exits_with_one_line(workspace, capsys, files, tail, message):
+    w = workspace
+    for name, content in files.items():
+        (w / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = ["eval", "--in", str(w / "yellow.jsonl"), "--labels", str(w / "yellow_labels.csv"),
+            "--out", str(w / "m.csv")] + [str(w / a) if a.endswith(".json") else a for a in tail]
+    assert _one_line_exit(argv, capsys) == (1, message.format(w=w))
+    assert not (w / "m.csv").exists()
+
+
+def test_bad_k_exits_with_one_line(workspace, capsys):
+    w = workspace
+    main(["features", "--in", str(w / "cruise.jsonl"), "--out", str(w / "features.csv")])
+    kdsc = ["kdsc", "--features", str(w / "features.csv"), "--out", str(w / "k.json")]
+    assert _one_line_exit(kdsc + ["--k", "0"], capsys) == (1, "k=0 out of range for n=40")
+    assert _one_line_exit(kdsc + ["--k", "500"], capsys) == (
+        1, "need at least k=500 points, got 40")
+
+
+def test_empty_corpus_exits_with_one_line(workspace, capsys):
+    w = workspace
+    empty = w / "empty.jsonl"
+    empty.write_text("")
+    MODEL.save(w / "fc.json")
+    EmbeddingBank.from_dict(_bank(4)).save(w / "bank.json")
+    train = ["train-embed", "--epochs", "1", "--model", str(w / "out.json")]
+    none = "scenes, none with the H+T=20 samples that a forecast example needs"
+    assert _one_line_exit(train + ["--in", str(empty)], capsys) == (1, f"{empty}: 0 {none}")
+    assert not (w / "out.json").exists()
+    # every scene shorter than H+T: the same rule, after the count of skipped scenes
+    assert _one_line_exit(train + ["--in", str(w / "yellow.jsonl"), "--history", "100"],
+                          capsys) == (1, f"{w / 'yellow.jsonl'}: 30 scenes, none with the "
+                                         "H+T=112 samples that a forecast example needs")
+    assert _one_line_exit(["eval", "--in", str(empty), "--model", str(w / "fc.json"), "--bank",
+                           str(w / "bank.json"), "--out", str(w / "m.csv")],
+                          capsys) == (1, f"{empty}: 0 {none}")
+    assert _one_line_exit(["report", "--in", str(empty), "--out-dir", str(w / "r")],
+                          capsys) == (1, "cannot build a histogram from zero scenes")
+
+
+@pytest.mark.parametrize("agent,reason", [
+    ({"t": [0.0, 1.0], "x": [1.0, 2.0], "y": [1.0]}, "t has 2 samples, y has 1"),
+    ({"t": [0.0, 1.0], "x": 1.0, "y": [1.0, 2.0]}, "x must be a list, not float"),
+], ids=["y-too-short", "x-not-a-list"])
+def test_mismatched_jsonl_track_exits_naming_the_field(tmp_path, capsys, agent, reason):
+    record = {"scene_id": "s", "focal_agent_id": "a", "agents": [dict(agent, agent_id="a")]}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    argv = ["features", "--in", str(path), "--out", str(tmp_path / "f.csv")]
+    assert _one_line_exit(argv, capsys) == (1, f"{path}, line 1: agent 'a': {reason}")
+
+
+# each subcommand's numeric options with a small valid value; the property
+# gives one or two of them a value drawn from those below
+NUMERIC_OPTIONS = {
+    "synth": {"--n": "2", "--seed": "0"},
+    "kdsc": {"--k": "2"},
+    "train-embed": {"--epochs": "1", "--seed": "0", "--lr": "0.01", "--history": "8",
+                    "--horizon": "12", "--modes": "1", "--hidden": "4", "--dim": "2"},
+    "eval": {"--miss-threshold": "2.0"},
+    "report": {"--n-min": "5"},
+}
+OUT_OF_RANGE = ["-1", "0", "nan", "inf", "-inf", "1e999", "-1e999"]
+# only these options also draw a huge value: a huge --n or --epochs asks for a
+# run too long to wait for, and a huge layer size (--modes, --hidden, --dim)
+# is not range-checked and still ends in numpy's error
+HUGE, TAKES_HUGE = "100000000000000000000", {"--seed", "--k", "--lr", "--history", "--horizon",
+                                             "--miss-threshold", "--n-min"}
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """The arguments besides the numeric options of each subcommand, over a
+    three-scene corpus and a small model trained on it."""
+    w = tmp_path_factory.mktemp("tiny")
+    corpus, labels, model, bank = (str(w / n) for n in ("y.jsonl", "l.csv", "fc.json", "b.json"))
+    main(["synth", "--kind", "yellow-light", "--n", "3", "--seed", "1", "--out", corpus,
+          "--labels", labels])
+    main(["features", "--in", corpus, "--out", str(w / "f.csv")])
+    main(["train-embed", "--in", corpus, "--labels", labels, "--epochs", "1", "--modes", "1",
+          "--hidden", "4", "--dim", "2", "--model", model, "--bank", bank])
+    data = ["--in", corpus, "--labels", labels]
+    return {"synth": ["--kind", "cruise", "--out", str(w / "s.jsonl")],
+            "kdsc": ["--features", str(w / "f.csv"), "--out", str(w / "k.json")],
+            "train-embed": data + ["--model", str(w / "fc2.json"), "--bank", str(w / "b2.json")],
+            "eval": data + ["--model", model, "--bank", bank, "--out", str(w / "m.csv")],
+            "report": ["--in", corpus, "--out-dir", str(w / "r")]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_numeric_options_never_raise_past_main(tiny, data):
+    """Any mix of out-of-range, NaN, infinite and huge numeric options ends in
+    exit 0, argparse's status 2 or a one-line exit message: never another
+    exception."""
+    command = data.draw(st.sampled_from(sorted(NUMERIC_OPTIONS)))
+    options = NUMERIC_OPTIONS[command]
+    bad = data.draw(st.sets(st.sampled_from(sorted(options)), min_size=1, max_size=2))
+    argv = [command, *tiny[command]]
+    for option, valid in options.items():
+        values = OUT_OF_RANGE + ([HUGE] if option in TAKES_HUGE else [])
+        argv += [option, data.draw(st.sampled_from(values), label=option) if option in bad
+                 else valid]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            main(argv)
+        except SystemExit as exc:
+            if exc.code == 2:
+                assert "error: argument" in err.getvalue()
+            else:
+                assert isinstance(exc.code, str) and "\n" not in exc.code, exc.code

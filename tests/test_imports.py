@@ -54,13 +54,35 @@ def test_no_unused_parameters(path):
     assert not unused, f"{path.name} has unused parameters: {unused}"
 
 
-def test_only_traj_imports_csv():
-    """traj.read_csv and traj.write_csv are the one table reader and writer."""
+def importers_of(module):
+    """The package modules that import `module`, once per import statement."""
     importers = []
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
-            if "csv" in names:
+            if module in names:
                 importers.append(path.name)
+    return importers
+
+
+def test_only_traj_imports_csv():
+    """traj.read_csv and traj.write_csv are the one table reader and writer."""
+    importers = importers_of("csv")
     assert importers == ["traj.py"]
+
+
+def test_only_traj_imports_json():
+    """traj.read_json and traj.write_json read and write every JSON file, and
+    the JSONL loader and writer are in traj too."""
+    assert importers_of("json") == ["traj.py"]
+
+
+def test_only_cli_main_exits():
+    """cli.main is the one place where an error becomes an exit."""
+    exits = [(path.name, fn.name) for path in MODULES
+             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "SystemExit"]
+    named = [path.name for path in MODULES if "SystemExit" in path.read_text(encoding="utf-8")]
+    assert exits == [("cli.py", "main")] and named == ["cli.py"]

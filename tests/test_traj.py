@@ -200,6 +200,14 @@ BAD_INPUTS = {
                      "byte 0xff at character 2 is not UTF-8"),
     "meta-not-utf8": (_csv(FOUR_ROWS, f"scene_id,split\ns0,train\ns{NOT_UTF8},train\n"),
                       "scenes.csv.meta.csv, line 3", "is not UTF-8"),
+    "jsonl-y-too-short": (_jsonl(agents=[dict(FOCAL_AGENT, y=[0.0] * 3)]),
+                          "scenes.jsonl, line 1", "agent 'f': t has 4 samples, y has 3"),
+    "jsonl-t-too-long": (_jsonl(agents=[dict(FOCAL_AGENT, t=[0.0, 1.0, 2.0, 3.0, 4.0])]),
+                         "scenes.jsonl, line 1", "agent 'f': t has 5 samples, x has 4"),
+    "jsonl-x-not-list": (_jsonl(agents=[dict(FOCAL_AGENT, x=1.0)]), "scenes.jsonl, line 1",
+                         "agent 'f': x must be a list, not float"),
+    "jsonl-no-y": (_jsonl(agents=[{k: v for k, v in FOCAL_AGENT.items() if k != "y"}]),
+                   "scenes.jsonl, line 1", "no 'y' key"),
 }
 
 
