@@ -44,10 +44,13 @@ def _parse_mix(text):
 
 
 def _number(kind, low, strict=False):
-    """argparse type= for a finite `kind` value >= low, or > low if strict; for
-    any other value argparse exits with status 2 naming the flag."""
+    """argparse type= for a finite `kind` value >= low, or > low if strict, and
+    for an int at most sys.maxsize; for any other value argparse exits with
+    status 2 naming the flag."""
     def parse(text):
         value = kind(text)
+        if kind is int and value > sys.maxsize:
+            raise argparse.ArgumentTypeError(f"must be at most {sys.maxsize}, not {text!r}")
         if not (low < value if strict else low <= value) or value == float("inf"):
             raise argparse.ArgumentTypeError(f"must be finite and {'>' if strict else '>='} "
                                              f"{low}, not {text!r}")

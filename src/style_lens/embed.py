@@ -9,6 +9,7 @@ factor interaction, whose sum is exactly the table entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,10 +18,24 @@ import numpy as np
 from .kdsc import ClusterModel, assign
 from .kinematics import extract_features
 from .tdbm import TdbmConfig, _uniformize, build_tdbm_features, tdbm_classify, tdbm_score
-from .traj import read_json, shaped, write_json
+from .traj import StyleLensError, read_json, shaped, write_json
 
 NON_HIGHWAY, HIGHWAY = 0, 1
 V_HIGHWAY = 16.7  # m/s, ~60 km/h: mean focal speed at or above it is highway
+MAX_FLOATS = 2 ** 27  # 1 GiB of float64, the most one model or bank may hold
+
+
+class ForecastError(StyleLensError):
+    pass
+
+
+def check_size(shapes: dict) -> None:
+    """ForecastError, before anything is allocated, if arrays of these shapes
+    would hold more than MAX_FLOATS floats in all."""
+    total = sum(math.prod(shape) for shape in shapes.values())
+    if total > MAX_FLOATS:
+        sizes = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        raise ForecastError(f"{sizes} would hold {total} floats, more than {MAX_FLOATS} (1 GiB)")
 
 
 @dataclass(frozen=True)
@@ -44,10 +59,17 @@ class EmbeddingBank:
 
     @classmethod
     def init(cls, num_styles: int = 6, K: int = 3, D: int = 16, seed: int = 0) -> "EmbeddingBank":
+        shapes = cls.shapes(num_styles, K, D)
+        check_size(shapes)
         rng = np.random.default_rng(seed)
-        e_k = rng.uniform(-0.1, 0.1, size=(num_styles, K, D))
-        e_c = rng.uniform(-0.1, 0.1, size=(num_styles, 2, D))
+        e_k = rng.uniform(-0.1, 0.1, size=shapes["e_k"])
+        e_c = rng.uniform(-0.1, 0.1, size=shapes["e_c"])
         return cls(num_styles=num_styles, K=K, D=D, seed=seed, e_k=e_k, e_c=e_c)
+
+    @staticmethod
+    def shapes(num_styles, K, D) -> dict:
+        """The shape of each factor array of a bank with these dimensions."""
+        return {"e_k": (num_styles, K, D), "e_c": (num_styles, 2, D)}
 
     def validate_index(self, idx: StyleIndex) -> None:
         z, k, c = (np.asarray(v) for v in (idx.z, idx.k, idx.c))
@@ -76,8 +98,8 @@ class EmbeddingBank:
         if names and len(names) != Z:
             raise ValueError(f"style_names has {len(names)} entries, expected num_styles={Z}")
         return cls(num_styles=Z, K=K, D=D, seed=int(d.get("seed", 0)), style_names=names,
-                   e_k=shaped("e_k", [s["e_k"] for s in d["styles"]], (Z, K, D)),
-                   e_c=shaped("e_c", [s["e_c"] for s in d["styles"]], (Z, 2, D)))
+                   **{name: shaped(name, [s[name] for s in d["styles"]], shape)
+                      for name, shape in cls.shapes(Z, K, D).items()})
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())

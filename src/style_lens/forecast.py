@@ -20,17 +20,14 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .embed import EmbeddingBank, StyleIndex, bank_gradients, lookup
+from .embed import (EmbeddingBank, ForecastError, StyleIndex, bank_gradients, check_size,
+                    lookup)
 from .tdbm import style_order
-from .traj import StyleLensError, read_json, shaped, write_json
+from .traj import read_json, shaped, write_json
 
 FUSION_MODES = ("none", "early", "late")
 DEFAULT_MISS_THRESHOLD = 2.0  # m, final-displacement miss cutoff
 BATCH_SIZE = 32  # training examples per gradient step
-
-
-class ForecastError(StyleLensError):
-    pass
 
 
 @dataclass
@@ -56,6 +53,8 @@ class ForecastModel:
              input_scale=0.1) -> "ForecastModel":
         if fusion not in FUSION_MODES:
             raise ForecastError(f"fusion must be one of {FUSION_MODES}, got {fusion!r}")
+        shapes = cls.shapes(H, T, M, hidden, D)
+        check_size(shapes)
         rng = np.random.default_rng(seed)
 
         def draw(name, shape):  # biases start at zero; a weight's fan-in is its last axis
@@ -63,8 +62,8 @@ class ForecastModel:
             return np.zeros(shape) if name[0] == "b" else rng.uniform(-bound, bound, size=shape)
 
         return cls(H=H, T=T, M=M, hidden=hidden, D=D, fusion=fusion, seed=seed,
-                   input_scale=input_scale, **{name: draw(name, shape) for name, shape
-                                               in cls.shapes(H, T, M, hidden, D).items()})
+                   input_scale=input_scale,
+                   **{name: draw(name, shape) for name, shape in shapes.items()})
 
     @staticmethod
     def shapes(H, T, M, hidden, D) -> dict:
@@ -73,14 +72,9 @@ class ForecastModel:
                 "W2": (M, 2 * T, hidden), "b2": (M, 2 * T), "W3": (M, hidden), "b3": (M,)}
 
     def to_dict(self) -> dict:
-        return {
-            "H": self.H, "T": self.T, "M": self.M, "hidden": self.hidden,
-            "D": self.D, "fusion": self.fusion, "seed": self.seed,
-            "input_scale": self.input_scale,
-            "W1": self.W1.tolist(), "b1": self.b1.tolist(), "P": self.P.tolist(),
-            "W2": self.W2.tolist(), "b2": self.b2.tolist(),
-            "W3": self.W3.tolist(), "b3": self.b3.tolist(),
-        }
+        dims = {"H": self.H, "T": self.T, "M": self.M, "hidden": self.hidden, "D": self.D}
+        return {**dims, "fusion": self.fusion, "seed": self.seed, "input_scale": self.input_scale,
+                **{name: getattr(self, name).tolist() for name in self.shapes(**dims)}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ForecastModel":
@@ -264,22 +258,20 @@ def train(
             g_d = g_traj @ model.W2.reshape(-1, model.hidden) + g_logits @ model.W3
             g_u = g_d * (1.0 - h * h)
             g_fused = g_u if model.fusion == "early" else g_d
-            grads = {
-                "W1": g_u.T @ x, "b1": g_u.sum(axis=0), "P": g_fused.T @ style,
-                "W2": (g_traj.T @ d).reshape(model.W2.shape),
-                "b2": g_traj.sum(axis=0).reshape(model.b2.shape),
-                "W3": g_logits.T @ d, "b3": g_logits.sum(axis=0),
-            }
             scale = lr / len(batch)
-            if index is not None:
+            if index is not None:  # before the step, as it reads the pre-step P
                 g_ek, g_ec = bank_gradients(bank, index, g_fused @ model.P)
                 for table, row, g in ((bank.e_k, index.k, g_ek), (bank.e_c, index.c, g_ec)):
                     acc = np.zeros_like(table)
                     np.add.at(acc, (index.z, row), g)
                     table -= scale * acc
-            for name, g in grads.items():
-                param = getattr(model, name)
-                param -= scale * g
+            model.W1 -= scale * (g_u.T @ x)
+            model.b1 -= scale * g_u.sum(axis=0)
+            model.P -= scale * (g_fused.T @ style)
+            model.W2 -= scale * (g_traj.T @ d).reshape(model.W2.shape)
+            model.b2 -= scale * g_traj.sum(axis=0).reshape(model.b2.shape)
+            model.W3 -= scale * (g_logits.T @ d)
+            model.b3 -= scale * g_logits.sum(axis=0)
         losses.append(epoch_loss / max(n, 1))
     return model, bank, losses
 

@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kinematics import KinematicFeatures
-from .traj import StyleLensError, read_json, write_json
+from .kinematics import FEATURE_NAMES, KinematicFeatures
+from .traj import StyleLensError, read_json, shaped, write_json
 
 DEFAULT_SUBSET = ("max_abs_accel", "var_accel", "var_speed", "gamma")
 STD_FLOOR = 1e-12
@@ -58,17 +58,27 @@ class ClusterModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClusterModel":
+        names, k = check_subset(d["feature_names"]), int(d["k"])
+        std = shaped("std", d["std"], (len(names),))
+        if not np.all(std > 0):
+            raise ClusteringError(f"std must be > 0, got {std.tolist()}")
+        labels = {int(cid): lab for cid, lab in d.get("labels", {}).items()}
+        assigned = d.get("train_assignments")
+        assigned = None if assigned is None else np.asarray(assigned, dtype=int)
+        for what, ids in (("label ids", list(labels)), ("train_assignments", assigned)):
+            ids = np.asarray([] if ids is None else ids, dtype=int)
+            bad = ids[(ids < 0) | (ids >= k)]
+            if bad.size:
+                raise ClusteringError(f"{what} must lie in [0, {k}), not {bad.tolist()}")
         return cls(
-            feature_names=tuple(d["feature_names"]),
-            mean=np.asarray(d["mean"], dtype=float),
-            std=np.asarray(d["std"], dtype=float),
+            feature_names=names,
+            mean=shaped("mean", d["mean"], (len(names),)),
+            std=std,
             merge_history=tuple((int(a), int(b), float(x)) for a, b, x in d["merge_history"]),
-            k=int(d["k"]),
-            centroids=np.asarray(d["centroids"], dtype=float),
-            labels={int(cid): lab for cid, lab in d.get("labels", {}).items()},
-            train_assignments=None
-            if d.get("train_assignments") is None
-            else np.asarray(d["train_assignments"], dtype=int),
+            k=k,
+            centroids=shaped("centroids", d["centroids"], (k, len(names))),
+            labels=labels,
+            train_assignments=assigned,
             metadata=d.get("metadata", {}),
         )
 
@@ -167,21 +177,27 @@ def cut_partition(history, n: int, k: int) -> np.ndarray:
     smallest member index."""
     if not 1 <= k <= n:
         raise ClusteringError(f"k={k} out of range for n={n}")
-    groups = {i: {i} for i in range(n)}
-    id_to_group = {i: i for i in range(n)}
-    next_id = n
-    for (a, b, _dist) in history[: n - k]:
-        ga, gb = id_to_group.pop(a), id_to_group.pop(b)
-        groups[ga] |= groups.pop(gb)
-        id_to_group[next_id] = ga
-        next_id += 1
-    # stable cluster numbering: sort groups by smallest member
-    final = sorted(groups.values(), key=min)
+    leaves = {i: [i] for i in range(n)}   # cluster id -> its leaves
+    for next_id, (a, b, _dist) in enumerate(history[: n - k], start=n):
+        kept, other = leaves.pop(a), leaves.pop(b)
+        if len(kept) < len(other):
+            kept, other = other, kept
+        kept.extend(other)
+        leaves[next_id] = kept
     labels = np.empty(n, dtype=int)
-    for cid, grp in enumerate(final):
-        for m in grp:
-            labels[m] = cid
+    for cid, members in enumerate(sorted(leaves.values(), key=min)):
+        labels[members] = cid
     return labels
+
+
+def check_subset(names) -> tuple:
+    """names as a tuple, else ClusteringError: a feature subset is non-empty,
+    and names each of its features, all from FEATURE_NAMES, once."""
+    names = tuple(names)
+    if not names or len(set(names)) < len(names) or not set(names) <= set(FEATURE_NAMES):
+        raise ClusteringError(f"feature subset {list(names)} must name one or more distinct "
+                              f"features from {', '.join(FEATURE_NAMES)}")
+    return names
 
 
 def fit_kdsc(
@@ -190,10 +206,10 @@ def fit_kdsc(
     feature_subset=DEFAULT_SUBSET,
 ) -> ClusterModel:
     """Fit the style-clustering model: z-score, Ward-agglomerate, cut at k."""
+    names = check_subset(feature_subset)
     n = len(features)
     if n < k:
         raise ClusteringError(f"need at least k={k} points, got {n}")
-    names = tuple(feature_subset)
     raw = np.array([f.as_array(names) for f in features])
     if not np.all(np.isfinite(raw)):
         raise ClusteringError("non-finite feature values")

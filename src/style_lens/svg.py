@@ -7,19 +7,21 @@ deliberately plain: bars, boxes, and annotated heatmap cells.
 from __future__ import annotations
 
 
-def _doc(width, height, body, title):
+def _text(x, y, size, content, anchor=None):
+    """One sans-serif text element; x and y are written as given."""
+    align = "" if anchor is None else f' text-anchor="{anchor}"'
+    return (f'<text x="{x}" y="{y}" font-size="{size}"{align} '
+            f'font-family="sans-serif">{content}</text>')
+
+
+def _write(path, width, height, body, title):
+    """An SVG document of the title and the body elements, one per line."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="10" y="18" font-size="14" font-family="sans-serif">{title}</text>',
+        _text(10, 18, 14, title), *body, "</svg>",
     ]
-    parts.extend(body)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def _write(path, text):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write("\n".join(parts) + "\n")
 
 
 def write_bar_chart(path, labels, values, title=""):
@@ -34,15 +36,9 @@ def write_bar_chart(path, labels, values, title=""):
             f'<rect x="{x}" y="{bottom - h:.1f}" width="40" height="{h:.1f}" '
             'fill="#4878a8"/>'
         )
-        body.append(
-            f'<text x="{x + 20}" y="{bottom - h - 4:.1f}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{value}</text>'
-        )
-        body.append(
-            f'<text x="{x + 20}" y="{bottom + 14}" font-size="10" '
-            f'text-anchor="middle" font-family="sans-serif">{label}</text>'
-        )
-    _write(path, _doc(width, height, body, title))
+        body.append(_text(x + 20, f"{bottom - h - 4:.1f}", 11, value, "middle"))
+        body.append(_text(x + 20, bottom + 14, 10, label, "middle"))
+    _write(path, width, height, body, title)
 
 
 def write_boxplots(path, rows, title=""):
@@ -68,9 +64,7 @@ def write_boxplots(path, rows, title=""):
         def sy(v):
             return y0 + (panel_h - 50) * (1.0 - (v - lo) / span)
 
-        body.append(
-            f'<text x="10" y="{y0 - 6}" font-size="11" font-family="sans-serif">{metric}</text>'
-        )
+        body.append(_text(10, y0 - 6, 11, metric))
         for si, style in enumerate(styles):
             match = [r for r in sub if r.style == style]
             if not match:
@@ -89,11 +83,8 @@ def write_boxplots(path, rows, title=""):
                 f'<line x1="{cx - 10}" y1="{sy(r.median):.1f}" x2="{cx + 10}" '
                 f'y2="{sy(r.median):.1f}" stroke="#a02020"/>'
             )
-            body.append(
-                f'<text x="{cx}" y="{y0 + panel_h - 36}" font-size="9" '
-                f'text-anchor="middle" font-family="sans-serif">{style}</text>'
-            )
-    _write(path, _doc(width, height, body, title))
+            body.append(_text(cx, y0 + panel_h - 36, 9, style, "middle"))
+    _write(path, width, height, body, title)
 
 
 def write_heatmap(path, matrix, row_labels, col_labels, title=""):
@@ -103,16 +94,10 @@ def write_heatmap(path, matrix, row_labels, col_labels, title=""):
     vmax = max(int(matrix.max()), 1)
     body = []
     for j, col in enumerate(col_labels):
-        body.append(
-            f'<text x="{120 + j * cell + cell // 2}" y="40" font-size="10" '
-            f'text-anchor="middle" font-family="sans-serif">{col}</text>'
-        )
+        body.append(_text(120 + j * cell + cell // 2, 40, 10, col, "middle"))
     for i, row in enumerate(row_labels):
         y = 50 + i * cell
-        body.append(
-            f'<text x="110" y="{y + cell // 2}" font-size="10" '
-            f'text-anchor="end" font-family="sans-serif">{row}</text>'
-        )
+        body.append(_text(110, y + cell // 2, 10, row, "end"))
         for j in range(len(col_labels)):
             v = int(matrix[i, j])
             shade = 255 - int(195 * v / vmax)
@@ -120,11 +105,8 @@ def write_heatmap(path, matrix, row_labels, col_labels, title=""):
                 f'<rect x="{120 + j * cell}" y="{y}" width="{cell}" height="{cell}" '
                 f'fill="rgb({shade},{shade},255)" stroke="#888"/>'
             )
-            body.append(
-                f'<text x="{120 + j * cell + cell // 2}" y="{y + cell // 2 + 4}" '
-                f'font-size="11" text-anchor="middle" font-family="sans-serif">{v}</text>'
-            )
-    _write(path, _doc(width, height, body, title))
+            body.append(_text(120 + j * cell + cell // 2, y + cell // 2 + 4, 11, v, "middle"))
+    _write(path, width, height, body, title)
 
 
 def write_split_histograms(path, dist, title=""):
@@ -140,9 +122,7 @@ def write_split_histograms(path, dist, title=""):
         y0 = 40 + pi * panel_h
         sub = {l: dist["hists"][(l, s)] for (l, s) in keys if s == split}
         vmax = max((int(h.max()) for h in sub.values()), default=1) or 1
-        body.append(
-            f'<text x="10" y="{y0 - 4}" font-size="11" font-family="sans-serif">{split}</text>'
-        )
+        body.append(_text(10, y0 - 4, 11, split))
         for label, hist in sorted(sub.items()):
             color = colors.get(label, "#777")
             for b, count in enumerate(hist):
@@ -153,4 +133,4 @@ def write_split_histograms(path, dist, title=""):
                     f'<rect x="{40 + b * 12}" y="{y0 + panel_h - 40 - h:.1f}" width="10" '
                     f'height="{h:.1f}" fill="{color}" fill-opacity="0.55"/>'
                 )
-    _write(path, _doc(width, height, body, title))
+    _write(path, width, height, body, title)

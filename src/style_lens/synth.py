@@ -10,6 +10,7 @@ so corpora are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .traj import Scene, TrajectorySample
 
 DT = 0.1           # s, output sampling step
 DURATION = 6.0     # s, scene length
+N_STEPS = int(round(DURATION / DT)) + 1  # samples per scene
 REACT_TIME = 0.2   # s, minimum delay before any maneuver begins
 COMFORT_DECEL = 3.0   # m/s^2, preferred braking level; harder only when forced
 STOP_MARGIN = 0.95    # fraction of the available gap the stop plan may use
@@ -64,29 +66,36 @@ def _draw_labels(mix: dict, n: int, rng) -> list:
     return [labels[i] for i in rng.choice(len(labels), size=n, p=probs)]
 
 
-def _draw_split(rng) -> str:
-    return "train" if rng.random() < 0.8 else "test"
+def _generate(n, mix, params, seed, make_scene):
+    """The seeded loop both families share; returns [(Scene, true label)].
+
+    Labels come from the root generator; each scene draws its split, then
+    everything else, from its own child seed."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    check_mix(mix)
+    params = DEFAULT_PARAMS if params is None else params
+    labels = _draw_labels(mix, n, np.random.default_rng(seed))
+    out = []
+    for i, (label, ss) in enumerate(zip(labels, np.random.SeedSequence(seed).spawn(n))):
+        rng = np.random.default_rng(ss)
+        split = "train" if rng.random() < 0.8 else "test"
+        out.append((make_scene(i, label, params, rng, split), label))
+    return out
 
 
-def _jerk_limited_profile(v0, t_acts, a_targets, j_max, n_steps):
-    """Integrate speed under piecewise acceleration targets with a jerk limit.
+def _jerk_limited_profile(v0, t_act, a_target, j_max):
+    """Integrate speed toward an acceleration target under a jerk limit.
 
-    t_acts/a_targets: sorted activation times and the acceleration target in
-    force from each; target is 0 before the first. Speed is clamped at 0
-    (vehicle stays stopped). Returns (positions_x, speeds)."""
+    The target is 0 before t_act and a_target from then on. Speed is clamped
+    at 0 (vehicle stays stopped). Returns the positions x."""
     v = v0
     x = 0.0
     a = 0.0
-    xs = np.empty(n_steps)
-    vs = np.empty(n_steps)
-    for i in range(n_steps):
-        t = i * DT
+    xs = np.empty(N_STEPS)
+    for i in range(N_STEPS):
         xs[i] = x
-        vs[i] = v
-        a_tgt = 0.0
-        for ta, at in zip(t_acts, a_targets):
-            if t >= ta - 1e-9:
-                a_tgt = at
+        a_tgt = a_target if i * DT >= t_act - 1e-9 else 0.0
         da = min(max(a_tgt - a, -j_max * DT), j_max * DT)
         a = a + da
         v_new = v + a * DT
@@ -95,7 +104,17 @@ def _jerk_limited_profile(v0, t_acts, a_targets, j_max, n_steps):
             a = 0.0
         x = x + 0.5 * (v + v_new) * DT
         v = v_new
-    return xs, vs
+    return xs
+
+
+def _noisy_focal(t, x, sigma, rng):
+    """The focal track at (x, 0), with Gaussian noise of sigma on x, then y."""
+    y = np.zeros(len(t))
+    if sigma > 0:
+        x = x + rng.normal(0.0, sigma, len(t))
+        y = y + rng.normal(0.0, sigma, len(t))
+    return TrajectorySample(agent_id="focal", timestamps=t,
+                            positions=np.column_stack([x, y]))
 
 
 def _stop_decel(v0, gap, b_max, j_max):
@@ -110,42 +129,27 @@ def _stop_decel(v0, gap, b_max, j_max):
     return a
 
 
-def _yellow_light_scene(i, label, params: StyleParams, rng, split):
+def _yellow_light_scene(i, label, styles, rng, split):
+    params = styles[label]
     d0 = rng.uniform(30.0, 60.0)
     v0 = rng.uniform(10.0, 18.0)
     t_r = rng.uniform(1.0, 3.0)
     go = v0 * t_r + params.go_bias * d0 >= d0
-    n_steps = int(round(DURATION / DT)) + 1
-
     if go:
         # jerk-limited acceleration toward the line, after the reaction delay
-        xs, vs = _jerk_limited_profile(
-            v0, [REACT_TIME + 0.3], [params.a_max], params.j_max, n_steps
-        )
+        xs = _jerk_limited_profile(v0, REACT_TIME + 0.3, params.a_max, params.j_max)
     else:
         # brake as late as the comfortable level allows, harder when forced
         gap_needed = v0 * v0 / (2.0 * COMFORT_DECEL) / STOP_MARGIN
         t_b = float(np.clip((d0 - gap_needed) / v0, REACT_TIME, 3.0))
         gap = d0 - v0 * t_b
         a_brake = _stop_decel(v0, gap, params.b_max, params.j_max)
-        xs, vs = _jerk_limited_profile(v0, [t_b], [-a_brake], params.j_max, n_steps)
+        xs = _jerk_limited_profile(v0, t_b, -a_brake, params.j_max)
 
-    t = DT * np.arange(n_steps)
-    x = xs - d0  # stop line at x = 0
-    y = np.zeros(n_steps)
-    if params.noise_sigma > 0:
-        x = x + rng.normal(0.0, params.noise_sigma, n_steps)
-        y = y + rng.normal(0.0, params.noise_sigma, n_steps)
-    focal = TrajectorySample(agent_id="focal", timestamps=t,
-                             positions=np.column_stack([x, y]))
-    scene = Scene(
-        scene_id=f"yellow-{i:05d}",
-        focal_agent_id="focal",
-        agents=(focal,),
-        split=split,
-        highway=False,
-    )
-    return scene, label
+    t = DT * np.arange(N_STEPS)
+    focal = _noisy_focal(t, xs - d0, params.noise_sigma, rng)  # stop line at x = 0
+    return Scene(scene_id=f"yellow-{i:05d}", focal_agent_id="focal", agents=(focal,),
+                 split=split, highway=False)
 
 
 def gen_yellow_light(n, mix=None, params=None, seed=0):
@@ -156,24 +160,13 @@ def gen_yellow_light(n, mix=None, params=None, seed=0):
     is go iff v0*t_r + go_bias*d0 >= d0, so outcome is ambiguous given the
     observed history but strongly correlated with style.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     mix = dict(DEFAULT_YELLOW_MIX if mix is None else mix)
-    params = dict(DEFAULT_PARAMS if params is None else params)
-    check_mix(mix)
-    root = np.random.default_rng(seed)
-    labels = _draw_labels(mix, n, root)
-    children = np.random.SeedSequence(seed).spawn(n)
-    out = []
-    for i, (label, ss) in enumerate(zip(labels, children)):
-        rng = np.random.default_rng(ss)
-        out.append(_yellow_light_scene(i, label, params[label], rng, _draw_split(rng)))
-    return out
+    return _generate(n, mix, params, seed, _yellow_light_scene)
 
 
-def _cruise_scene(i, label, params: StyleParams, rng, split, mdsi_confusion, all_labels):
-    n_steps = int(round(DURATION / DT)) + 1
-    t = DT * np.arange(n_steps)
+def _cruise_scene(i, label, styles, rng, split, mdsi_confusion, all_labels):
+    params = styles[label]
+    t = DT * np.arange(N_STEPS)
     # speed oscillation whose accel/jerk amplitudes sit inside the envelope
     a_amp = 0.8 * params.a_max
     omega = min(params.j_max / params.a_max, 4.0) * 0.8
@@ -181,18 +174,12 @@ def _cruise_scene(i, label, params: StyleParams, rng, split, mdsi_confusion, all
     phase = rng.uniform(0.0, 2.0 * np.pi)
     v0 = rng.uniform(12.0, 18.0) if label == "aggressive" else rng.uniform(8.0, 14.0)
     x = v0 * t - (amp / omega) * (np.cos(omega * t + phase) - np.cos(phase))
-    y = np.zeros(n_steps)
 
     gap = rng.uniform(15.0, 25.0)
     lead_x = x[0] + gap + v0 * t
     lead = TrajectorySample(agent_id="lead", timestamps=t,
-                            positions=np.column_stack([lead_x, np.zeros(n_steps)]))
-
-    if params.noise_sigma > 0:
-        x = x + rng.normal(0.0, params.noise_sigma, n_steps)
-        y = y + rng.normal(0.0, params.noise_sigma, n_steps)
-    focal = TrajectorySample(agent_id="focal", timestamps=t,
-                             positions=np.column_stack([x, y]))
+                            positions=np.column_stack([lead_x, np.zeros(N_STEPS)]))
+    focal = _noisy_focal(t, x, params.noise_sigma, rng)
 
     mdsi = None
     if mdsi_confusion is not None:
@@ -202,15 +189,8 @@ def _cruise_scene(i, label, params: StyleParams, rng, split, mdsi_confusion, all
             others = [MDSI_NAMES[l] for l in all_labels if l != label] or [MDSI_NAMES[label]]
             mdsi = others[rng.integers(len(others))]
 
-    scene = Scene(
-        scene_id=f"cruise-{i:05d}",
-        focal_agent_id="focal",
-        agents=(focal, lead),
-        split=split,
-        highway=None,
-        mdsi_label=mdsi,
-    )
-    return scene, label
+    return Scene(scene_id=f"cruise-{i:05d}", focal_agent_id="focal", agents=(focal, lead),
+                 split=split, highway=None, mdsi_label=mdsi)
 
 
 def gen_cruise(n, mix=None, params=None, seed=0, mdsi_confusion=0.2):
@@ -220,20 +200,6 @@ def gen_cruise(n, mix=None, params=None, seed=0, mdsi_confusion=0.2):
     gamma) and drive faster, but speed itself stays out of the clustering
     features. Set mdsi_confusion=None to omit MDSI-style labels.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     mix = dict(DEFAULT_CRUISE_MIX if mix is None else mix)
-    params = dict(DEFAULT_PARAMS if params is None else params)
-    check_mix(mix)
-    root = np.random.default_rng(seed)
-    labels = _draw_labels(mix, n, root)
-    children = np.random.SeedSequence(seed).spawn(n)
-    all_labels = sorted(mix)
-    out = []
-    for i, (label, ss) in enumerate(zip(labels, children)):
-        rng = np.random.default_rng(ss)
-        out.append(
-            _cruise_scene(i, label, params[label], rng, _draw_split(rng),
-                          mdsi_confusion, all_labels)
-        )
-    return out
+    return _generate(n, mix, params, seed, partial(_cruise_scene, mdsi_confusion=mdsi_confusion,
+                                                   all_labels=sorted(mix)))

@@ -5,6 +5,7 @@ no-neighbor override."""
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -69,9 +70,16 @@ class TdbmConfig:
     resample_dt: float = 0.1        # s, used only when input sampling is non-uniform
 
     def __post_init__(self):
-        for name in ("v_ref", "d_ref", "w_ref", "j_ref"):  # divisors of the features
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, not {getattr(self, name)}")
+        for name, value in asdict(self).items():  # each a real number, not a bool
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if name == "cone_half_angle":
+                rule, ok = "in [0, pi]", real and 0.0 <= value <= np.pi
+            elif name in ("neighbor_radius", "smooth_window"):
+                rule, ok = "finite and >= 0", real and 0.0 <= value < np.inf
+            else:  # the four divisors of the features, and resample_dt
+                rule, ok = "finite and > 0", real and 0.0 < value < np.inf
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, not {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -138,6 +146,7 @@ def _smooth_path(positions: np.ndarray, window: int) -> np.ndarray:
     return total / (np.minimum(i + half + 1, n) - np.maximum(i - half, 0))[:, None]
 
 
+@np.errstate(all="ignore")  # a feature that overflows raises TrajectoryError at the end
 def build_tdbm_features(scene: Scene, config: TdbmConfig = TdbmConfig()) -> TdbmFeatureVector:
     """Construct the five normalized kinematic features for the focal agent.
 
@@ -190,7 +199,8 @@ def build_tdbm_features(scene: Scene, config: TdbmConfig = TdbmConfig()) -> Tdbm
     gap_terms = np.clip(best_gap / config.d_ref, 0.0, 1.0)  # no leading neighbor: inf -> 1
     had_neighbors = bool(in_range.any())
 
-    window = max(1, int(round(config.smooth_window / dt)))
+    # any window of 2n-1 or more samples averages the whole path at every sample
+    window = max(1, int(round(min(config.smooth_window / dt, 2 * n - 1))))
     if window % 2 == 0:
         window += 1
     smoothed = _smooth_path(focal.positions, window)
@@ -203,7 +213,7 @@ def build_tdbm_features(scene: Scene, config: TdbmConfig = TdbmConfig()) -> Tdbm
 
     v_nei = float(np.mean(rel_speed_terms)) if had_neighbors else 0.0
     s_front = float(np.mean(gap_terms)) if had_neighbors else 1.0
-    return TdbmFeatureVector(
+    x = TdbmFeatureVector(
         s_center=s_center,
         v_nei=v_nei,
         s_front=s_front,
@@ -211,6 +221,10 @@ def build_tdbm_features(scene: Scene, config: TdbmConfig = TdbmConfig()) -> Tdbm
         j_l=float(np.mean(np.abs(jerk[1:-1]))) / config.j_ref,
         had_neighbors=had_neighbors,
     )
+    if not np.all(np.isfinite(x.as_array())):
+        raise TrajectoryError(f"scene {scene.scene_id!r}: non-finite TDBM features "
+                              f"{x.as_array()[:5].tolist()}")
+    return x
 
 
 def tdbm_score(x: TdbmFeatureVector) -> StyleScores:

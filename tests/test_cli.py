@@ -188,6 +188,23 @@ def test_kdsc_features_errors_name_the_line(workspace):
 MODEL = ForecastModel.init(H=8, T=12, M=1, hidden=4, D=4, fusion="early")
 
 
+# more values out of range, each named in the message
+OUT_OF_RANGE_VALUES = {
+    "config": {
+        "string-value": ({"neighbor_radius": "x"},
+                         "neighbor_radius must be finite and >= 0, not 'x'"),
+        "zero-step": ({"resample_dt": 0}, "resample_dt must be finite and > 0, not 0"),
+        "negative-angle": ({"cone_half_angle": -1}, "cone_half_angle must be in [0, pi], not -1"),
+    },
+    "kdsc": {
+        "unknown-feature": ({"feature_names": ["bogus"]}, "feature subset ['bogus'] must name "),
+        "centroids-shape": ({"centroids": [[0, 0]]}, "centroids has shape (1, 2), expected (1, 1)"),
+        "zero-std": ({"std": [0.0]}, "std must be > 0, got [0.0]"),
+        "label-id": ({"labels": {"1": "aggressive"}}, "label ids must lie in [0, 1), not [1]"),
+    },
+}
+
+
 def _json_loader_cases():
     """One param (loader, JSON content or None for a missing file, reason) per
     fault of each JSON input: --config, --model, --bank and --kdsc-model."""
@@ -220,6 +237,8 @@ def _json_loader_cases():
             cases["misspelled-optional-key"] = (
                 {k[:-1] if k == key else k: v for k, v in d.items()},
                 f"unknown key {key[:-1]!r}")
+        for fault, (change, reason) in OUT_OF_RANGE_VALUES.get(loader, {}).items():
+            cases[fault] = (dict(d, **change), reason)
         cases["bad-json"] = ("{", "Expecting property name")
         cases["missing-file"] = (None, "No such file or directory")
         for fault, (content, reason) in cases.items():
@@ -456,11 +475,9 @@ NUMERIC_OPTIONS = {
     "report": {"--n-min": "5"},
 }
 OUT_OF_RANGE = ["-1", "0", "nan", "inf", "-inf", "1e999", "-1e999"]
-# only these options also draw a huge value: a huge --n or --epochs asks for a
-# run too long to wait for, and a huge layer size (--modes, --hidden, --dim)
-# is not range-checked and still ends in numpy's error
-HUGE, TAKES_HUGE = "100000000000000000000", {"--seed", "--k", "--lr", "--history", "--horizon",
-                                             "--miss-threshold", "--n-min"}
+# every option also draws HUGE, above sys.maxsize: an int flag checked by
+# _number rejects it, and the rest end in a one-line exit
+HUGE = "100000000000000000000"
 
 
 @pytest.fixture(scope="module")
@@ -493,7 +510,7 @@ def test_numeric_options_never_raise_past_main(tiny, data):
     bad = data.draw(st.sets(st.sampled_from(sorted(options)), min_size=1, max_size=2))
     argv = [command, *tiny[command]]
     for option, valid in options.items():
-        values = OUT_OF_RANGE + ([HUGE] if option in TAKES_HUGE else [])
+        values = OUT_OF_RANGE + [HUGE]
         argv += [option, data.draw(st.sampled_from(values), label=option) if option in bad
                  else valid]
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -505,3 +522,43 @@ def test_numeric_options_never_raise_past_main(tiny, data):
                 assert "error: argument" in err.getvalue()
             else:
                 assert isinstance(exc.code, str) and "\n" not in exc.code, exc.code
+
+
+# (id, command, options after the `tiny` arguments with {tmp} for a scratch
+#  directory, exit status, the start of the one-line message)
+SUBSET_SIZE_AND_FEATURE_FAULTS = [
+    ("config-v-ref-denormal", "report", ["--tdbm-config", "{tmp}/vref.json"], 1,
+     "scene 'yellow-00000': non-finite TDBM features ["),
+    ("subset-unknown", "kdsc", ["--subset", "bogus"], 1,
+     "feature subset ['bogus'] must name one or more distinct features from mean_speed, "),
+    ("subset-repeated", "kdsc", ["--subset", "gamma,gamma"], 1,
+     "feature subset ['gamma', 'gamma'] must name one or more distinct features from "),
+    ("synth-n-huge", "synth", ["--n", HUGE], 2,
+     f"style-lens synth: error: argument --n: must be at most 9223372036854775807, not '{HUGE}'"),
+    ("train-hidden-huge", "train-embed", ["--hidden", HUGE], 2,
+     "style-lens train-embed: error: argument --hidden: must be at most 9223372036854775807"),
+    ("train-hidden-1e12", "train-embed", ["--hidden", str(10**12)], 1,
+     "W1 (1000000000000, 16), b1 (1000000000000,), P (1000000000000, 16), "),
+    ("train-dim-1e12", "train-embed", ["--dim", str(10**12)], 1,
+     "e_k (2, 1, 1000000000000), e_c (2, 2, 1000000000000) would hold 6000000000000 floats, "
+     "more than 134217728 (1 GiB)"),
+]
+
+
+@pytest.mark.parametrize("command,options,status,message", [
+    pytest.param(*case[1:], id=case[0]) for case in SUBSET_SIZE_AND_FEATURE_FAULTS])
+def test_bad_subset_size_or_feature_exits_with_one_line(tiny, tmp_path, capsys, command, options,
+                                                       status, message):
+    (tmp_path / "vref.json").write_text(json.dumps({"v_ref": 1e-320}))
+    argv = [command, *tiny[command], *(o.format(tmp=tmp_path) for o in options)]
+    got_status, got = _one_line_exit(argv, capsys)
+    assert got_status == status and got.startswith(message), got
+
+
+def test_huge_smooth_window_smooths_over_the_whole_path(tiny, tmp_path):
+    corpus = tiny["report"][1]
+    for window in (1e308, 100.0):
+        (tmp_path / "cfg.json").write_text(json.dumps({"smooth_window": window}))
+        main(["tdbm", "--in", corpus, "--config", str(tmp_path / "cfg.json"),
+              "--out", str(tmp_path / f"t{window}.csv")])
+    assert filecmp.cmp(tmp_path / "t1e+308.csv", tmp_path / "t100.0.csv", shallow=False)

@@ -107,6 +107,21 @@ class TestForward:
         with pytest.raises(ForecastError):
             ForecastModel.init(fusion="both")
 
+    @pytest.mark.parametrize("dims,named", [
+        ({"hidden": 10**12}, r"^W1 \(1000000000000, 16\), b1 \(1000000000000,\)"),
+        ({"M": 10**6, "T": 10**6}, r"W2 \(1000000, 2000000, 64\)"),
+        ({"D": 10**12}, r"P \(64, 1000000000000\)"),
+    ])
+    def test_init_past_one_gib_names_the_sizes(self, dims, named):
+        """The check runs before anything is allocated, so 10**12 fails at once."""
+        with pytest.raises(ForecastError, match=named + r".* floats, more than 134217728"):
+            ForecastModel.init(**dims)
+
+    def test_bank_init_past_one_gib_names_the_sizes(self):
+        with pytest.raises(ForecastError, match=r"^e_k \(6, 3, 1000000000000\), e_c \(6, 2, "
+                                                r"1000000000000\) would hold 30000000000000 "):
+            EmbeddingBank.init(D=10**12)
+
 
 class TestWtaLoss:
     def test_exact_match_zero_loss(self):

@@ -101,6 +101,20 @@ def partition_sets(labels):
     return {frozenset(g) for g in groups.values()}
 
 
+def two_map_cut(history, n, k):
+    """Flat labels after n-k merges, kept with a group map and an id map."""
+    groups = {i: {i} for i in range(n)}
+    id_to_group = {i: i for i in range(n)}
+    for next_id, (a, b, _dist) in enumerate(history[: n - k], start=n):
+        ga, gb = id_to_group.pop(a), id_to_group.pop(b)
+        groups[ga] |= groups.pop(gb)
+        id_to_group[next_id] = ga
+    labels = np.empty(n, dtype=int)
+    for cid, grp in enumerate(sorted(groups.values(), key=min)):
+        labels[sorted(grp)] = cid
+    return labels
+
+
 class TestWardLinkage:
     def test_well_separated_blobs(self):
         pts = np.array([0.0, 0.1, 0.2, 10.0, 10.1, 10.2])[:, None]
@@ -208,6 +222,24 @@ class TestWardLinkage:
         with pytest.raises(ClusteringError):
             cut_partition([], 3, 0)
 
+    @pytest.mark.parametrize("shape", ["chain", "random", "ward"])
+    def test_cut_equals_two_map_reference(self, shape):
+        """The one-map cut gives the labels of the old group/id-map cut."""
+        n, rng = 300, np.random.default_rng(11)
+        if shape == "ward":
+            history = ward_linkage(rng.normal(size=(n, 2)))
+        else:  # chain: each merge takes the last cluster; random: any two
+            alive, history = list(range(n)), []
+            for next_id in range(n, 2 * n - 1):
+                picks = (alive[-1], alive[0]) if shape == "chain" else rng.choice(
+                    alive, size=2, replace=False)
+                a, b = sorted(int(p) for p in picks)
+                alive = [c for c in alive if c not in (a, b)] + [next_id]
+                history.append((a, b, 0.0))
+        for k in (1, 2, 7, n):
+            np.testing.assert_array_equal(cut_partition(history, n, k),
+                                          two_map_cut(history, n, k))
+
 
 class TestFitKdsc:
     def test_blob_recovery_and_centroids(self):
@@ -259,6 +291,33 @@ class TestFitKdsc:
         assert back.merge_history == model.merge_history
         np.testing.assert_array_equal(back.centroids, model.centroids)
         np.testing.assert_array_equal(back.train_assignments, model.train_assignments)
+
+    @pytest.mark.parametrize("subset", [(), ("bogus",), ("gamma", "gamma"),
+                                        ("gamma", "var_speed", "gamma")])
+    def test_bad_subset_names_the_features(self, subset):
+        feats = feats_from_matrix(np.random.default_rng(4).normal(size=(6, 4)))
+        with pytest.raises(ClusteringError, match=r"distinct features from mean_speed, "):
+            fit_kdsc(feats, k=2, feature_subset=subset)
+
+    @pytest.mark.parametrize("key,value,error", [
+        ("feature_names", ["bogus", "gamma"], r"feature subset \['bogus', 'gamma'\]"),
+        ("feature_names", ["gamma", "gamma"], r"feature subset \['gamma', 'gamma'\]"),
+        ("mean", [0.0], r"mean has shape \(1,\), expected \(2,\)"),
+        ("std", [1.0, 0.0], r"std must be > 0"),
+        ("std", [1.0, float("nan")], r"std must be > 0"),
+        ("centroids", [[0.0, 0.0]], r"centroids has shape \(1, 2\), expected \(2, 2\)"),
+        ("centroids", [[0.0], [0.0]], r"centroids has shape \(2, 1\), expected \(2, 2\)"),
+        ("labels", {"2": "aggressive"}, r"label ids must lie in \[0, 2\), not \[2\]"),
+        ("train_assignments", [0, 1, -1], r"train_assignments must lie in \[0, 2\), not \[-1\]"),
+    ])
+    def test_from_dict_checks_arrays_and_ids(self, key, value, error):
+        good = ClusterModel(feature_names=("gamma", "var_speed"), mean=np.zeros(2),
+                            std=np.ones(2), merge_history=(), k=2, centroids=np.eye(2),
+                            labels={0: "normal", 1: "aggressive"},
+                            train_assignments=np.array([0, 1, 1])).to_dict()
+        assert ClusterModel.from_dict(good).to_dict() == good
+        with pytest.raises(ValueError, match=error):  # ClusteringError is a ValueError
+            ClusterModel.from_dict(dict(good, **{key: value}))
 
 
 class TestLabeling:

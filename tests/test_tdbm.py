@@ -9,12 +9,13 @@ from style_lens import (
     StyleScores,
     TdbmConfig,
     TdbmFeatureVector,
+    TrajectoryError,
     TrajectorySample,
     build_tdbm_features,
     tdbm_classify,
     tdbm_score,
 )
-from style_lens.tdbm import _uniformize
+from style_lens.tdbm import _smooth_path, _uniformize
 from style_lens.traj import central_diff, derivatives
 
 from conftest import make_scene, make_traj
@@ -155,6 +156,46 @@ class TestFeatureConstruction:
     def test_config_rejects_non_positive_normalizer(self, name, value):
         with pytest.raises(ValueError, match=name):
             TdbmConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,value,rule", [
+        ("neighbor_radius", "x", "finite and >= 0"),
+        ("neighbor_radius", -1.0, "finite and >= 0"),
+        ("smooth_window", float("inf"), "finite and >= 0"),
+        ("smooth_window", -0.5, "finite and >= 0"),
+        ("cone_half_angle", -1, r"in \[0, pi\]"),
+        ("cone_half_angle", 3.5, r"in \[0, pi\]"),
+        ("cone_half_angle", float("nan"), r"in \[0, pi\]"),
+        ("resample_dt", 0, "finite and > 0"),
+        ("v_ref", True, "finite and > 0"),
+        ("d_ref", "50", "finite and > 0"),
+        ("j_ref", None, "finite and > 0"),
+    ])
+    def test_config_rejects_each_field_out_of_range(self, name, value, rule):
+        with pytest.raises(ValueError, match=f"^{name} must be {rule}, not {value!r}"):
+            TdbmConfig(**{name: value})
+
+    def test_config_accepts_the_ends_of_each_range(self):
+        cfg = TdbmConfig(neighbor_radius=0, cone_half_angle=np.pi, smooth_window=0.0,
+                         resample_dt=np.float64(0.05), v_ref=1e-300)
+        assert cfg.cone_half_angle == np.pi
+
+    def test_window_past_the_whole_path_caps_to_it(self):
+        """Every window of 2n-1 or more samples averages the whole path at
+        every sample, so build_tdbm_features caps it there, bit for bit."""
+        rng = np.random.default_rng(2)
+        for n in (4, 5, 61, 100):
+            pos = rng.normal(size=(n, 2)) * 10.0
+            whole = _smooth_path(pos, 2 * n - 1)
+            for window in (2 * n + 1, 4 * n + 3, 1001):
+                np.testing.assert_array_equal(_smooth_path(pos, window), whole)
+        scene = make_scene("s", make_traj("f", np.cumsum(rng.uniform(0, 2, 30)),
+                                          rng.normal(size=30), dt=0.1))
+        assert build_tdbm_features(scene, TdbmConfig(smooth_window=1e308)) == \
+            reference_tdbm_features(scene, TdbmConfig(smooth_window=100.0))
+
+    def test_non_finite_feature_names_the_scene(self, straight_scene):
+        with pytest.raises(TrajectoryError, match=r"^scene '.*': non-finite TDBM features"):
+            build_tdbm_features(straight_scene, TdbmConfig(v_ref=1e-320))
 
     def test_bias_appended_by_as_array(self):
         arr = fv(1, 2, 3, 4, 5).as_array()
